@@ -391,14 +391,14 @@ def build_variable_tree(q: Query, order) -> VariableTree:
         ns = sorted((x for x in adj[w] if pos[x] < i), key=pos.get)
         for a in range(len(ns)):
             for b in range(a + 1, len(ns)):
-                assert ns[b] in adj[ns[a]], (
-                    f"order {order} is not trio-free at {w}: {ns[a]},{ns[b]}"
-                )
+                if ns[b] not in adj[ns[a]]:
+                    raise AssertionError(f"order {order} is not trio-free at {w}: {ns[a]},{ns[b]}")
         nsets.append(tuple(ns))
         parent.append(pos[ns[-1]] if ns else None)
         need = set(ns) | {w}
         e = next((j for j, a in enumerate(q.atoms) if need <= a.var_set), None)
-        assert e is not None, f"no atom covers {need}; hypergraph not conformal?"
+        if e is None:
+            raise AssertionError(f"no atom covers {need}; hypergraph not conformal?")
         anchor.append(e)
 
     assigned = [[] for _ in order]

@@ -17,7 +17,7 @@ from .baseline import (
     sort_before_join_access,
     topk_heap_access,
 )
-from .engine import preprocess_lex, preprocess_sum
+from .engine import build_index
 from .errors import CqError, OutOfRange
 from .instrument import AccessStats
 from .model import (
@@ -60,12 +60,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_access(args) -> int:
     q, o, db = _load(args)
-    report = analyze(q, o)
     t0 = time.perf_counter()
-    if o.kind == LEX:
-        index = preprocess_lex(q, db, report, count_comparisons=args.stats)
-    else:
-        index = preprocess_sum(q, db, report, count_comparisons=args.stats)
+    index = build_index(q, db, o, count_comparisons=args.stats)
     pre_ms = (time.perf_counter() - t0) * 1000.0
     probes = 0
     for k in _parse_ks(args.k):
@@ -87,12 +83,7 @@ def cmd_access(args) -> int:
 
 def cmd_count(args) -> int:
     q, o, db = _load(args)
-    report = analyze(q, o)
-    if o.kind == LEX:
-        index = preprocess_lex(q, db, report)
-    else:
-        index = preprocess_sum(q, db, report)
-    _emit({"count": index.count})
+    _emit({"count": build_index(q, db, o).count})
     return 0
 
 

@@ -1,15 +1,20 @@
 """Direct access: quasilinear preprocessing, logarithmic ranked access.
 
 The index simulates the sorted array of answers without materializing it.
-Construction happens in three steps:
+Every count below, and every count that selection takes, comes from one
+counting kernel: ``row_counts`` collapses each atom's duplicate rows into
+per-row counts (answers are a bag, so those counts flow through everything),
+and ``CountingTree`` walks a join tree bottom-up with one weighted-projection
+loop (row count × child messages, summed per projected value), then
+``count_at`` combines the messages at the chosen root. Construction happens
+in three steps:
 
-1. *Full reduction* — classic semi-join passes (up, then down) over a join
-   tree of the atoms, so every surviving row takes part in at least one
-   answer. Duplicate input rows are collapsed into per-row counts first;
-   answers are a bag, so those counts flow through everything below.
+1. *Full reduction* — semi-join passes over the directed edges of a join tree
+   of the atoms (up, then down), so every surviving row takes part in at
+   least one answer.
 
-2. *Existential elimination* — counting messages toward the head on a join
-   tree extended with a virtual head node. Atoms adjacent to the head node
+2. *Existential elimination* — the kernel's counting messages toward a
+   virtual head node added to the join tree. Atoms adjacent to the head node
    become weighted relations over their head variables (weight = number of
    ways to extend a projected row downward); deeper atoms keep weight 1 and
    only constrain. The weighted natural join of these reduced relations
@@ -23,12 +28,16 @@ Construction happens in three steps:
 
 Access walks w maintaining the residual rank k' and the multiplier M of the
 still-pending subtrees: the block of answers with w_i = v has width M·g(ν,v),
-so one counting binary search per variable pins the value.
+so one counting binary search per variable pins the value. Sum orders rank
+the kernel's per-anchor-row counts first and complete the rest the same way.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 from .analysis import (
     DIRECT_LEX,
@@ -62,95 +71,135 @@ class ReducedDB:
         return any(not a.rows for a in self.atoms)
 
 
-def _proj(vars_: tuple[str, ...], wanted) -> tuple[int, ...]:
-    return tuple(vars_.index(v) for v in wanted)
+def _proj(vars_: tuple[str, ...], wanted):
+    """Key function: a row over ``vars_`` -> the tuple of its ``wanted`` values.
+
+    Built on ``itemgetter`` so no per-row Python frame runs; one position is
+    taken as a one-element slice so that every key is a tuple.
+    """
+    idx = tuple(map(vars_.index, wanted))
+    if len(idx) == 1:
+        return itemgetter(slice(idx[0], idx[0] + 1))
+    return itemgetter(*idx) if idx else itemgetter(slice(0))
+
+
+def row_counts(bound, fixed=None, stats=None) -> list[dict[tuple, int]]:
+    """Each atom's distinct rows with their multiplicities, keeping only the
+    rows that agree with the ``fixed`` variable values."""
+    tables = []
+    for b in bound:
+        if stats is not None:
+            stats.rows_touched += len(b.rows)
+        rows = b.rows
+        pinned = [v for v in b.vars if v in fixed] if fixed else ()
+        if pinned:
+            key, want = _proj(b.vars, pinned), tuple(fixed[v] for v in pinned)
+            rows = [r for r in rows if key(r) == want]
+        tables.append(Counter(rows))
+    return tables
+
+
+class CountingTree:
+    """Bottom-up counting (Yannakakis) over a join tree of weighted tables.
+
+    ``tables[u]`` maps each distinct row over ``vars_list[u]`` to its weight;
+    a node without a table may only serve as the root of ``messages``.
+    Separators are keyed in one canonical variable order — the head first,
+    then the other variables by first occurrence — so a message toward the
+    head comes out in head order.
+    """
+
+    def __init__(self, vars_list, head, tables, mode: str, reason: str = "not_acyclic"):
+        tree = gyo_join_tree(vars_list)
+        if not isinstance(tree, JoinTree):
+            raise NotRouted(mode, (reason,))
+        self.tree = tree
+        self.vars = tuple(vars_list)
+        self.tables = tables
+        self._canon = tuple(dict.fromkeys(chain(head, *vars_list)))
+
+    def separator(self, u: int, w: int) -> tuple[str, ...]:
+        shared = self.tree.node_vars[u] & self.tree.node_vars[w]
+        return tuple(v for v in self._canon if v in shared)
+
+    def key(self, u: int, wanted):
+        return _proj(self.vars[u], wanted)
+
+    def _combine(self, u, out_vars, children, msg, stats):
+        """The weighted projection: Σ row weight × child messages, per value
+        of ``out_vars``. Rows that some child cannot extend drop out."""
+        key = self.key(u, out_vars)
+        kids = [(self.key(u, self.separator(u, c)), msg[c]) for c in children]
+        table = self.tables[u]
+        if stats is not None:
+            stats.rows_touched += len(table)
+        out: dict[tuple, int] = {}
+        for row, w in table.items():
+            for kkey, m in kids:
+                w *= m.get(kkey(row), 0)
+                if not w:
+                    break
+            if w:
+                k = key(row)
+                out[k] = out.get(k, 0) + w
+        return out
+
+    def messages(self, root: int, stats=None):
+        """Counting messages toward ``root``: for every other node u, the
+        weighted number of ways u's subtree extends each value of u's
+        separator with its parent. Also returns the rooted children lists."""
+        tree = self.tree.rerooted(root)
+        children = tree.children()
+        msg: dict[int, dict[tuple, int]] = {}
+        for u in tree.postorder():
+            if u != root:
+                msg[u] = self._combine(u, self.separator(u, tree.parent[u]), children[u], msg, stats)
+        return msg, children
+
+    def count_at(self, root: int, out_vars, stats=None) -> dict[tuple, int]:
+        """Answer count per value of ``out_vars`` (variables of node ``root``)."""
+        msg, children = self.messages(root, stats)
+        return self._combine(root, out_vars, children[root], msg, stats)
 
 
 def build_reduced_db(q: Query, db: Instance) -> ReducedDB:
     """Stages 1 and 2: fully reduced, head-projected weighted relations."""
     bound = bound_atoms(q, db)
-    tables: list[dict[tuple, int]] = []
-    for b in bound:
-        t: dict[tuple, int] = {}
-        for r in b.rows:
-            t[r] = t.get(r, 0) + 1
-        tables.append(t)
+    tables = row_counts(bound)
+    vars_list = [b.vars for b in bound]
 
-    # stage 1: full semi-join reduction over the atom join tree
-    tree = gyo_join_tree([b.vars for b in bound])
-    assert isinstance(tree, JoinTree), "reduction requires an acyclic query"
-    post = tree.postorder()
-    for u in post:
-        p = tree.parent[u]
-        if p is None:
-            continue
-        sep = sorted(tree.separator(u))
-        if not sep:
-            if not tables[u]:
-                tables[p] = {}
-            continue
-        uidx = _proj(bound[u].vars, sep)
-        keys = {tuple(r[i] for i in uidx) for r in tables[u]}
-        pidx = _proj(bound[p].vars, sep)
-        tables[p] = {r: c for r, c in tables[p].items() if tuple(r[i] for i in pidx) in keys}
-    for u in reversed(post):
-        p = tree.parent[u]
-        if p is None:
-            continue
-        sep = sorted(tree.separator(u))
-        if not sep:
-            if not tables[p]:
-                tables[u] = {}
-            continue
-        pidx = _proj(bound[p].vars, sep)
-        keys = {tuple(r[i] for i in pidx) for r in tables[p]}
-        uidx = _proj(bound[u].vars, sep)
-        tables[u] = {r: c for r, c in tables[u].items() if tuple(r[i] for i in uidx) in keys}
+    # stage 1: full semi-join reduction over the directed edges, up then down
+    ct = CountingTree(vars_list, q.head, tables, DIRECT_LEX)
+    parent = ct.tree.parent
+    up = [(u, parent[u]) for u in ct.tree.postorder() if parent[u] is not None]
+    for src, dst in up + [(p, u) for u, p in reversed(up)]:
+        sep = ct.separator(src, dst)
+        keys = set(map(ct.key(src, sep), tables[src]))
+        key = ct.key(dst, sep)
+        tables[dst] = {r: c for r, c in tables[dst].items() if key(r) in keys}
 
-    # stage 2: counting messages toward the virtual head node
-    tplus = gyo_join_tree([b.vars for b in bound] + [tuple(q.head)])
-    assert isinstance(tplus, JoinTree), "head-extended hypergraph must stay acyclic"
+    # stage 2: counting messages toward a virtual head node F
     F = len(bound)
-    tplus = tplus.rerooted(F)
-    children = tplus.children()
-    msg: list[dict[tuple, int] | None] = [None] * len(bound)
-    for u in tplus.postorder():
-        if u == F:
-            continue
-        sep = tplus.separator(u)
-        sepv = (
-            tuple(v for v in q.head if v in sep)
-            if tplus.parent[u] == F
-            else tuple(sorted(sep))
-        )
-        uvars = bound[u].vars
-        sidx = _proj(uvars, sepv)
-        kidinfo = []
-        for c in children[u]:
-            csepv = tuple(sorted(tplus.separator(c)))
-            kidinfo.append((_proj(uvars, csepv), msg[c]))
-        out: dict[tuple, int] = {}
-        for row, cnt in tables[u].items():
-            w = cnt
-            for cidx, m in kidinfo:
-                w *= m.get(tuple(row[i] for i in cidx), 0)
-                if not w:
-                    break
-            if w:
-                key = tuple(row[i] for i in sidx)
-                out[key] = out.get(key, 0) + w
-        msg[u] = out
-
+    ct = CountingTree(vars_list + [q.head], q.head, tables, DIRECT_LEX, "not_free_connex")
+    msg, children = ct.messages(F)
     reduced = []
-    for u, b in enumerate(bound):
-        hv = tuple(v for v in q.head if v in set(b.vars))
-        if tplus.parent[u] == F:
-            rows = msg[u]
-        else:
-            hidx = _proj(b.vars, hv)
-            rows = {tuple(r[i] for i in hidx): 1 for r in tables[u]}
+    for u in range(F):
+        hv = ct.separator(u, F)
+        rows = msg[u] if u in children[F] else dict.fromkeys(map(ct.key(u, hv), tables[u]), 1)
         reduced.append(ReducedAtom(hv, rows))
     return ReducedDB(tuple(reduced))
+
+
+def sum_blocks(q: Query, bound, report: TractabilityReport, stats=None):
+    """The sum-anchor atom's head variables (head order), and per distinct
+    value of them ``((rank key, values), answer count)``. The rank key orders
+    the blocks by weight sum, then by the values."""
+    anchor = report.sum_anchor
+    ct = CountingTree([b.vars for b in bound], q.head, row_counts(bound, stats=stats), DIRECT_SUM)
+    prefix = tuple(v for v in q.head if v in bound[anchor].vars)
+    wpos = [prefix.index(v) for v in report.order.vars]
+    blocks = ct.count_at(anchor, prefix, stats)
+    return prefix, [(((sum(p[i] for i in wpos), tuple_key(p)), p), w) for p, w in blocks.items()]
 
 
 class _Group:
@@ -169,10 +218,11 @@ def _sort_pairs(pairs, stats: PreprocessStats | None):
 
     if stats is not None and stats.counted:
         return sorted_counted(pairs, key=key, stats=stats)
-    for nu, v in pairs:
-        if not isinstance(v, int) or any(not isinstance(x, int) for x in nu):
-            return sorted(pairs, key=key)
-    return sorted(pairs)  # all-int fast path: plain tuple comparison
+    try:
+        # plain tuple comparison; values of one kind compare as value_key does
+        return sorted(pairs)
+    except TypeError:  # an int met a str at some position
+        return sorted(pairs, key=key)
 
 
 def _build_tables(q: Query, db: Instance, order, stats: PreprocessStats | None):
@@ -186,32 +236,23 @@ def _build_tables(q: Query, db: Instance, order, stats: PreprocessStats | None):
     for i in reversed(range(f)):
         anchor = rdb.atoms[vt.anchor[i]]
         nvars = vt.nsets[i]
-        aidx = _proj(anchor.vars, nvars)
+        nu_of = _proj(anchor.vars, nvars)
         widx = anchor.vars.index(vt.order[i])
-        pairs = {(tuple(r[j] for j in aidx), r[widx]) for r in anchor.rows}
+        pairs = {(nu_of(r), r[widx]) for r in anchor.rows}
 
-        vecpos = {v: j for j, v in enumerate(nvars + (vt.order[i],))}
-        atom_lk = [
-            (tuple(vecpos[v] for v in rdb.atoms[ai].vars), rdb.atoms[ai].rows)
-            for ai in vt.assigned[i]
-        ]
-        child_lk = [
-            (tuple(vecpos[v] for v in vt.nsets[c]), totals[c]) for c in children[i]
-        ]
+        # weights of the atoms settled at w_i, then the child subtree totals
+        vec_vars = nvars + (vt.order[i],)
+        lookups = [(_proj(vec_vars, rdb.atoms[ai].vars), rdb.atoms[ai].rows) for ai in vt.assigned[i]]
+        lookups += [(_proj(vec_vars, vt.nsets[c]), totals[c]) for c in children[i]]
 
         gmap: dict[tuple, _Group] = {}
         for nu, v in _sort_pairs(pairs, stats):
             vec = nu + (v,)
             g = 1
-            for idxs, rows in atom_lk:
-                g *= rows.get(tuple(vec[j] for j in idxs), 0)
+            for key, m in lookups:
+                g *= m.get(key(vec), 0)
                 if not g:
                     break
-            if g:
-                for idxs, tot in child_lk:
-                    g *= tot.get(tuple(vec[j] for j in idxs), 0)
-                    if not g:
-                        break
             if not g:
                 continue  # candidate never joins; unreachable after full reduction
             grp = gmap.get(nu)
@@ -228,21 +269,7 @@ def _build_tables(q: Query, db: Instance, order, stats: PreprocessStats | None):
     count = global_mult
     for r in vt.roots():
         count *= totals[r].get((), 0)
-    return rdb, vt, groups, totals, count, global_mult
-
-
-def _find_value(values, v, stats: AccessStats | None):
-    key = value_key(v)
-    lo, hi = 0, len(values)
-    while lo < hi:
-        if stats is not None:
-            stats.probes += 1
-        mid = (lo + hi) // 2
-        if value_key(values[mid]) < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo < len(values) and values[lo] == v else -1
+    return vt, groups, totals, count, global_mult
 
 
 @dataclass
@@ -289,22 +316,6 @@ class AccessIndex:
             raise OutOfRange(k, self.count)
         return self._descend([None] * len(self.order), self.count, k, 0, stats)
 
-    def count_for(self, prefix_vals: list) -> int:
-        """Answers extending the given values of order[0:len(prefix_vals)]."""
-        C = self.count
-        vals = list(prefix_vals) + [None] * (len(self.order) - len(prefix_vals))
-        for i, v in enumerate(prefix_vals):
-            nu = tuple(vals[j] for j in self._npos[i])
-            grp = self.groups[i].get(nu)
-            if grp is None:
-                return 0
-            idx = _find_value(grp.values, v, None)
-            if idx < 0:
-                return 0
-            M = C // grp.cums[-1]
-            C = M * (grp.cums[idx] - (grp.cums[idx - 1] if idx else 0))
-        return C
-
 
 def preprocess_lex(
     q: Query,
@@ -321,7 +332,7 @@ def preprocess_lex(
         raise NotRouted(DIRECT_LEX, verdict.reasons)
     stats = PreprocessStats(counted=count_comparisons)
     order = report.completed_order
-    _, vt, groups, totals, count, gm = _build_tables(q, db, order, stats)
+    vt, groups, totals, count, gm = _build_tables(q, db, order, stats)
     return AccessIndex(q, order, vt, groups, totals, count, gm, stats)
 
 
@@ -370,30 +381,23 @@ def preprocess_sum(
         raise NotRouted(DIRECT_SUM, verdict.reasons)
     stats = PreprocessStats(counted=count_comparisons)
     order = report.completed_order
-    rdb, vt, groups, totals, count, gm = _build_tables(q, db, order, stats)
+    vt, groups, totals, count, gm = _build_tables(q, db, order, stats)
     inner = AccessIndex(q, order, vt, groups, totals, count, gm, stats)
 
-    anchor = rdb.atoms[report.sum_anchor]
-    prefix_len = len(anchor.vars)
-    assert order[:prefix_len] == anchor.vars, "sum order must start with the anchor atom"
-    wpos = [anchor.vars.index(v) for v in report.order.vars]
-
-    items = []
-    for rvals in anchor.rows:
-        ext = inner.count_for(list(rvals))
-        assert ext > 0, "reduced anchor rows must extend to answers"
-        items.append(((sum(rvals[p] for p in wpos), tuple_key(rvals)), rvals, ext))
-    items = sorted_counted(items, key=lambda it: it[0], stats=stats) if count_comparisons \
-        else sorted(items, key=lambda it: it[0])
+    prefix, items = sum_blocks(q, bound_atoms(q, db), report)
+    if order[:len(prefix)] != prefix:
+        raise AssertionError("sum order must start with the anchor atom's head variables")
+    items = sorted_counted(items, key=itemgetter(0), stats=stats)
 
     cums, anchor_vals = [], []
     running = 0
-    for _, rvals, ext in items:
+    for (_, rvals), ext in items:
         running += ext
         cums.append(running)
         anchor_vals.append(rvals)
-    assert running == count, "anchor extension counts must add up to the answer count"
-    return SumAccessIndex(inner, anchor_vals, cums, prefix_len, count, stats)
+    if running != count:
+        raise AssertionError("anchor extension counts must add up to the answer count")
+    return SumAccessIndex(inner, anchor_vals, cums, len(prefix), count, stats)
 
 
 def direct_access_sum(ix: SumAccessIndex, k: int, stats: AccessStats | None = None) -> AnswerTuple:

@@ -22,7 +22,6 @@ class PreprocessStats:
 @dataclass
 class SelectStats:
     rows_touched: int = 0
-    sort_calls: int = 0  # selection never sorts; stays 0 by construction
 
 
 class CountingKey:

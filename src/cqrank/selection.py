@@ -1,85 +1,24 @@
 """One-off selection: the k-th answer from scratch, no index, no sorting.
 
 Each access fixes the order's variables one at a time: count the answers per
-candidate value of the next variable (linear message passing on the join
-tree), then weighted-quickselect the residual rank into a value block. The
-variable sequence is the same deterministic tie-break order the direct-access
-engine uses, so both produce identical tuples wherever both are routed.
+candidate value of the next variable, then weighted-quickselect the residual
+rank into a value block. The counts come from the counting kernel that direct
+access builds on (``engine.row_counts`` and ``engine.CountingTree``: one
+linear bottom-up pass over the join tree, combined at an atom holding the
+variable). The variable sequence is the same deterministic tie-break order the
+direct-access engine uses, so both produce identical tuples wherever both are
+routed.
 """
 
 from __future__ import annotations
 
 import random
 
-from .analysis import SINGLE_LEX, SINGLE_SUM, JoinTree, analyze, gyo_join_tree
+from .analysis import SINGLE_LEX, SINGLE_SUM, analyze
+from .engine import CountingTree, row_counts, sum_blocks
 from .errors import KOutOfRange, NotRouted, OutOfRange
 from .instrument import SelectStats
-from .model import (
-    AnswerTuple,
-    Instance,
-    OrderSpec,
-    Query,
-    bound_atoms,
-    tuple_key,
-    value_key,
-)
-
-
-def _filtered_tables(bound, fixed, stats: SelectStats | None):
-    tables = []
-    for b in bound:
-        if stats is not None:
-            stats.rows_touched += len(b.rows)
-        fpos = [(i, fixed[v]) for i, v in enumerate(b.vars) if v in fixed]
-        t: dict[tuple, int] = {}
-        if fpos:
-            for r in b.rows:
-                if all(r[i] == val for i, val in fpos):
-                    t[r] = t.get(r, 0) + 1
-        else:
-            for r in b.rows:
-                t[r] = t.get(r, 0) + 1
-        tables.append(t)
-    return tables
-
-
-def _sep_vars(bound, tree, u):
-    # canonical separator sequence: the child atom's own variable order
-    sep = tree.separator(u)
-    return tuple(v for v in bound[u].vars if v in sep)
-
-
-def _messages_to_root(bound, tables, tree, root, stats: SelectStats | None):
-    """Bottom-up extension counts per row, toward the chosen root atom."""
-    tree = tree.rerooted(root)
-    children = tree.children()
-    msg: list[dict[tuple, int] | None] = [None] * len(bound)
-    for u in tree.postorder():
-        if u == root:
-            continue
-        sidx = tuple(bound[u].vars.index(v) for v in _sep_vars(bound, tree, u))
-        kidinfo = [
-            (tuple(bound[u].vars.index(v) for v in _sep_vars(bound, tree, c)), msg[c])
-            for c in children[u]
-        ]
-        if stats is not None:
-            stats.rows_touched += len(tables[u])
-        out: dict[tuple, int] = {}
-        for row, cnt in tables[u].items():
-            w = cnt
-            for cidx, m in kidinfo:
-                w *= m.get(tuple(row[i] for i in cidx), 0)
-                if not w:
-                    break
-            if w:
-                key = tuple(row[i] for i in sidx)
-                out[key] = out.get(key, 0) + w
-        msg[u] = out
-    root_children = [
-        (tuple(bound[root].vars.index(v) for v in _sep_vars(bound, tree, c)), msg[c])
-        for c in children[root]
-    ]
-    return root_children
+from .model import AnswerTuple, Instance, OrderSpec, Query, bound_atoms, value_key
 
 
 def conditional_value_counts(
@@ -93,25 +32,10 @@ def conditional_value_counts(
     """(value, answer count) per candidate value of ``x`` consistent with
     ``fixed``, in first-occurrence order of the rooted atom. O(n) per call."""
     bound = _bound if _bound is not None else bound_atoms(q, db)
-    tables = _filtered_tables(bound, fixed, stats)
-    tree = gyo_join_tree([b.vars for b in bound])
-    assert isinstance(tree, JoinTree), "counting requires an acyclic query"
+    tables = row_counts(bound, fixed, stats)
+    ct = CountingTree([b.vars for b in bound], q.head, tables, SINGLE_LEX)
     root = next(i for i, b in enumerate(bound) if x in b.vars)
-    kidinfo = _messages_to_root(bound, tables, tree, root, stats)
-    xpos = bound[root].vars.index(x)
-    if stats is not None:
-        stats.rows_touched += len(tables[root])
-    counts: dict = {}
-    for row, cnt in tables[root].items():
-        w = cnt
-        for cidx, m in kidinfo:
-            w *= m.get(tuple(row[i] for i in cidx), 0)
-            if not w:
-                break
-        if w:
-            v = row[xpos]
-            counts[v] = counts.get(v, 0) + w
-    return list(counts.items())
+    return [(v, w) for (v,), w in ct.count_at(root, (x,), stats).items()]
 
 
 def weighted_select(items, k: int, rng=None, key=None):
@@ -198,38 +122,13 @@ def select_sum(
         raise NotRouted(SINGLE_SUM, verdict.reasons)
     rng = random.Random(seed)
     bound = bound_atoms(q, db)
-    anchor = report.sum_anchor
-    prefix = tuple(v for v in q.head if v in q.atoms[anchor].var_set)
-
-    # extension count per distinct head projection of the anchor atom
-    tables = _filtered_tables(bound, {}, stats)
-    tree = gyo_join_tree([b.vars for b in bound])
-    assert isinstance(tree, JoinTree)
-    kidinfo = _messages_to_root(bound, tables, tree, anchor, stats)
-    ppos = tuple(bound[anchor].vars.index(v) for v in prefix)
-    wpos = tuple(prefix.index(v) for v in order.vars)
-    if stats is not None:
-        stats.rows_touched += len(tables[anchor])
-    blocks: dict[tuple, int] = {}
-    for row, cnt in tables[anchor].items():
-        w = cnt
-        for cidx, m in kidinfo:
-            w *= m.get(tuple(row[i] for i in cidx), 0)
-            if not w:
-                break
-        if w:
-            proj = tuple(row[i] for i in ppos)
-            blocks[proj] = blocks.get(proj, 0) + w
-    items = [
-        ((sum(proj[p] for p in wpos), tuple_key(proj), proj), w)
-        for proj, w in blocks.items()
-    ]
+    prefix, items = sum_blocks(q, bound, report, stats)
     total = sum(w for _, w in items)
     if k < 0 or k >= total:
         raise OutOfRange(k, total)
 
-    chosen, kp = weighted_select(items, k, rng=rng, key=lambda v: (v[0], v[1]))
-    fixed = dict(zip(prefix, chosen[2]))
+    (_, vals), kp = weighted_select(items, k, rng=rng, key=lambda v: v[0])
+    fixed = dict(zip(prefix, vals))
     for x in report.tie_break_order[len(prefix):]:
         items = conditional_value_counts(q, db, fixed, x, stats=stats, _bound=bound)
         v, kp = weighted_select(items, kp, rng=rng)

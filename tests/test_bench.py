@@ -28,8 +28,6 @@ def test_gen_config_validation():
         GenConfig(0, "large")
     with pytest.raises(ConfigError):
         GenConfig(10, "medium")
-    with pytest.raises(ConfigError):
-        GenConfig(10, "large", distribution="zipf")
 
 
 def test_generate_deterministic():

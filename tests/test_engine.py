@@ -1,9 +1,15 @@
+import json
+import os
 import random
+import subprocess
+import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import cqrank
 from cqrank.analysis import analyze
 from cqrank.baseline import materialize_and_sort
 from cqrank.engine import (
@@ -261,3 +267,47 @@ def test_build_index_dispatches_by_order_kind(q2path, db1):
     assert isinstance(ix, AccessIndex) and ix.count == 4
     sx = build_index(q2path, db1, parse_order("sum: B,C", q2path))
     assert isinstance(sx, SumAccessIndex) and sx.count == 4
+
+
+_OPTIMIZED_CHECKS = '''
+import json
+from cqrank.bench import GenConfig, _Runner, bench_query, generate_instance
+from cqrank.engine import build_reduced_db
+from cqrank.model import AnswerTuple, Instance, Relation, parse_order, parse_query
+from cqrank.selection import conditional_value_counts
+
+def raised(fn):
+    try:
+        fn()
+    except Exception as exc:
+        return type(exc).__name__
+    return None
+
+q = bench_query()
+runner = _Runner(q, generate_instance(GenConfig(20, "large", 1)), parse_order("lex: A,B,C,D", q), 10**6, 10**6)
+wrong = AnswerTuple(q.head, (-1, -1, -1, -1))
+tri = parse_query("Q(A,B,C) :- R(A,B), S(B,C), T(C,A).")
+proj = parse_query("Q(A,C) :- R(A,B), S(B,C).")
+db = Instance({n: Relation(n, ("X", "Y"), ((1, 1), (1, 2))) for n in "RST"})
+print(json.dumps({
+    "optimized": not __debug__,
+    "verify": raised(lambda: runner.verify(0, wrong)),
+    "triangle_reduce": raised(lambda: build_reduced_db(tri, db)),
+    "triangle_counts": raised(lambda: conditional_value_counts(tri, db, {}, "A")),
+    "projection_reduce": raised(lambda: build_reduced_db(proj, db)),
+}))
+'''
+
+
+def test_checks_survive_python_O():
+    """Correctness checks are explicit raises, so ``python -O`` keeps them."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cqrank.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert json.loads(out.stdout) == {
+        "optimized": True,
+        "verify": "AssertionError",
+        "triangle_reduce": "NotRouted",
+        "triangle_counts": "NotRouted",
+        "projection_reduce": "NotRouted",
+    }
