@@ -61,7 +61,7 @@ def cmd_analyze(args) -> int:
 def cmd_access(args) -> int:
     q, o, db = _load(args)
     t0 = time.perf_counter()
-    index = build_index(q, db, o, count_comparisons=args.stats)
+    index = build_index(q, db, o)
     pre_ms = (time.perf_counter() - t0) * 1000.0
     probes = 0
     for k in _parse_ks(args.k):
@@ -73,9 +73,11 @@ def cmd_access(args) -> int:
             _emit({"k": k, "error": "out_of_range"})
         probes += stats.probes
     if args.stats:
+        # a build of its own, so the counting sort key stays out of preprocess_ms
+        counted = build_index(q, db, o, count_comparisons=True)
         _emit({
             "probes": probes,
-            "comparisons": index.build_stats.comparisons,
+            "comparisons": counted.build_stats.comparisons,
             "preprocess_ms": round(pre_ms, 3),
         })
     return 0

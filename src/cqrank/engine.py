@@ -23,8 +23,9 @@ in three steps:
 3. *Candidate tables* — for a trio-free order w, each variable's preceding
    neighbors form a clique covered by some atom, so the candidates for w_i
    given an assignment of those neighbors are a slice of that anchor atom.
-   Bottom-up we tabulate g(ν, v) = (weights of atoms settled at w_i) ×
-   (child subtree totals) and prefix-sum each candidate list.
+   Bottom-up, one pass over the anchor's rows groups the candidates by ν
+   and tabulates g(ν, v) = (weights of atoms settled at w_i) × (child
+   subtree totals); each group's values are sorted alone and prefix-summed.
 
 Access walks w maintaining the residual rank k' and the multiplier M of the
 still-pending subtrees: the block of answers with w_i = v has width M·g(ν,v),
@@ -34,9 +35,9 @@ the kernel's per-anchor-row counts first and complete the rest the same way.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
 
 from .analysis import (
@@ -207,22 +208,19 @@ class _Group:
 
     __slots__ = ("values", "cums")
 
-    def __init__(self):
-        self.values: list = []
-        self.cums: list[int] = []
+    def __init__(self, values: list, cums: list[int]):
+        self.values = values
+        self.cums = cums
 
 
-def _sort_pairs(pairs, stats: PreprocessStats | None):
-    def key(p):
-        return (tuple_key(p[0]), value_key(p[1]))
-
+def _sort_values(values, stats: PreprocessStats | None):
     if stats is not None and stats.counted:
-        return sorted_counted(pairs, key=key, stats=stats)
+        return sorted_counted(values, key=value_key, stats=stats)
     try:
-        # plain tuple comparison; values of one kind compare as value_key does
-        return sorted(pairs)
-    except TypeError:  # an int met a str at some position
-        return sorted(pairs, key=key)
+        # values of one kind compare natively exactly as value_key orders them
+        return sorted(values)
+    except TypeError:  # an int met a str
+        return sorted(values, key=value_key)
 
 
 def _build_tables(q: Query, db: Instance, order, stats: PreprocessStats | None):
@@ -235,31 +233,36 @@ def _build_tables(q: Query, db: Instance, order, stats: PreprocessStats | None):
 
     for i in reversed(range(f)):
         anchor = rdb.atoms[vt.anchor[i]]
-        nvars = vt.nsets[i]
-        nu_of = _proj(anchor.vars, nvars)
+        nu_of = _proj(anchor.vars, vt.nsets[i])
         widx = anchor.vars.index(vt.order[i])
-        pairs = {(nu_of(r), r[widx]) for r in anchor.rows}
+        # an anchor settled at w_i has vars exactly ν ∪ {w_i}: one row per
+        # (ν, v), and its weight is the row's own
+        settled = vt.anchor[i] in vt.assigned[i]
 
-        # weights of the atoms settled at w_i, then the child subtree totals
-        vec_vars = nvars + (vt.order[i],)
-        lookups = [(_proj(vec_vars, rdb.atoms[ai].vars), rdb.atoms[ai].rows) for ai in vt.assigned[i]]
-        lookups += [(_proj(vec_vars, vt.nsets[c]), totals[c]) for c in children[i]]
+        # weights of the other atoms settled at w_i, then the child subtree
+        # totals; all their vars lie in ν ∪ {w_i}, so they key off the row
+        lookups = [(_proj(anchor.vars, rdb.atoms[ai].vars), rdb.atoms[ai].rows)
+                   for ai in vt.assigned[i] if ai != vt.anchor[i]]
+        lookups += [(_proj(anchor.vars, vt.nsets[c]), totals[c]) for c in children[i]]
 
-        gmap: dict[tuple, _Group] = {}
-        for nu, v in _sort_pairs(pairs, stats):
-            vec = nu + (v,)
-            g = 1
+        weights: dict[tuple, dict] = defaultdict(dict)  # ν -> {v: g(ν, v) > 0}
+        for r, w in anchor.rows.items():
+            gv, v = weights[nu_of(r)], r[widx]
+            if v in gv:
+                continue
+            g = w if settled else 1
             for key, m in lookups:
-                g *= m.get(key(vec), 0)
+                g *= m.get(key(r), 0)
                 if not g:
                     break
-            if not g:
-                continue  # candidate never joins; unreachable after full reduction
-            grp = gmap.get(nu)
-            if grp is None:
-                grp = gmap[nu] = _Group()
-            grp.values.append(v)
-            grp.cums.append((grp.cums[-1] if grp.cums else 0) + g)
+            if g:  # g = 0: the candidate never joins; unreachable after full reduction
+                gv[v] = g
+
+        gmap: dict[tuple, _Group] = {}
+        for nu, gv in weights.items():
+            values = _sort_values(gv, stats)
+            if values:
+                gmap[nu] = _Group(values, list(accumulate(map(gv.__getitem__, values))))
         groups[i] = gmap
         totals[i] = {nu: grp.cums[-1] for nu, grp in gmap.items()}
 

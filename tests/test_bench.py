@@ -70,6 +70,8 @@ def test_run_benchmark_tiny(tmp_path):
     a_rows = [r for r in report.rows if r["experiment"] == "A"]
     assert {r["method"] for r in a_rows} == {"da", "sa", "full-sort"}
     assert all(r.get("verified") for r in a_rows if "error" not in r)
+    da_rows = [r for r in report.rows if r["method"] == "da"]
+    assert da_rows and all(type(r["comparisons"]) is int and r["comparisons"] > 0 for r in da_rows)
 
     b_rows = [r for r in report.rows if r["experiment"] == "B"]
     ks = sorted({r["k"] for r in b_rows})

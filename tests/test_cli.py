@@ -1,8 +1,11 @@
 import json
+import time
 
 import pytest
 
+import cqrank.cli as cli
 from cqrank.cli import main
+from cqrank.engine import AccessIndex
 
 
 @pytest.fixture
@@ -41,6 +44,32 @@ def test_cli_access_with_stats(workspace, capsys):
     stats = lines[3]
     assert set(stats) == {"probes", "comparisons", "preprocess_ms"}
     assert stats["probes"] > 0 and stats["comparisons"] > 0
+
+
+def test_cli_access_stats_times_an_uncounted_build(workspace, capsys, monkeypatch):
+    events = []
+    real_build, real_access = cli.build_index, AccessIndex.access
+
+    def build(*a, count_comparisons=False):
+        events.append(("build", count_comparisons))
+        if count_comparisons:
+            time.sleep(0.3)  # would show in preprocess_ms if this build were timed
+        return real_build(*a, count_comparisons=count_comparisons)
+
+    def access(self, *a):
+        events.append(("access",))
+        return real_access(self, *a)
+
+    monkeypatch.setattr(cli, "build_index", build)
+    monkeypatch.setattr(AccessIndex, "access", access)
+    rc = main([
+        "access", "--query", str(workspace / "q.cq"), "--data", str(workspace / "data"),
+        "--order", "lex: A,B,C", "--k", "0,2", "--stats",
+    ])
+    assert rc == 0
+    assert events == [("build", False), ("access",), ("access",), ("build", True)]
+    stats = _lines(capsys)[-1]
+    assert stats["comparisons"] > 0 and stats["preprocess_ms"] < 300
 
 
 def test_cli_count_lex_and_sum(workspace, capsys):

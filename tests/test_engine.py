@@ -159,6 +159,40 @@ def test_count_boundary_property(q2path):
             ix.access(c - 1)
 
 
+@pytest.mark.parametrize("order_text", ["lex: A,B,C", "lex: C,B,A", "lex: B,A,C"])
+def test_mixed_int_str_groups_match_oracle(q2path, order_text):
+    cells = [1, 2, 3, 4, "x1", "x2", "x3", "x4"]
+    o = parse_order(order_text, q2path)
+    report = analyze(q2path, o)
+    mixed = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        db = Instance({
+            name: Relation(name, cols, tuple((rng.choice(cells), rng.choice(cells)) for _ in range(12)))
+            for name, cols in (("R", ("A", "B")), ("S", ("B", "C")))
+        })
+        oracle = materialize_and_sort(q2path, db, o)
+        for counted in (False, True):
+            ix = preprocess_lex(q2path, db, report, count_comparisons=counted)
+            assert [ix.access(k) for k in range(ix.count)] == oracle, (seed, counted)
+        mixed += any(len(set(map(type, g.values))) > 1 for gm in ix.groups for g in gm.values())
+    assert mixed  # some group held an int and a str, so the value_key fallback ran
+
+
+@pytest.mark.parametrize("order_text", ["lex: A,B,C,D", "lex: B,C,A,D", "lex: D,C,B,A"])
+def test_counted_build_matches_plain(q3path, order_text):
+    db = random_instance(q3path, random.Random(17), 300, domain_for(300, "large"))
+    o = parse_order(order_text, q3path)
+    report = analyze(q3path, o)
+    plain = preprocess_lex(q3path, db, report)
+    counted = preprocess_lex(q3path, db, report, count_comparisons=True)
+    assert counted.build_stats.comparisons > 0
+    assert [gm.keys() for gm in plain.groups] == [gm.keys() for gm in counted.groups]
+    for pg, cg in zip(plain.groups, counted.groups):
+        for nu, grp in pg.items():
+            assert (grp.values, grp.cums) == (cg[nu].values, cg[nu].cums), nu
+
+
 def test_sum_single_atom_example():
     q = parse_query("Q(A,B) :- R(A,B).")
     db = Instance({"R": Relation("R", ("A", "B"), ((1, 5), (2, 2), (3, 1)))})
