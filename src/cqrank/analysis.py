@@ -234,6 +234,21 @@ def sum_anchor_atom(q: Query, weight_vars) -> int | None:
     return None
 
 
+def _completion(q: Query, o: OrderSpec):
+    """``(trio-free completion or None, effective_order)`` from one search."""
+    if o.kind == LEX:
+        prefix = tuple(o.vars)
+    else:
+        anchor = sum_anchor_atom(q, o.vars)
+        if anchor is None:
+            return None, tuple(q.head)
+        prefix = tuple(v for v in q.head if v in q.atoms[anchor].var_set)
+    completed = complete_order(q, prefix)
+    if completed is not None:
+        return completed, completed
+    return None, prefix + tuple(v for v in q.head if v not in set(prefix))
+
+
 def effective_order(q: Query, o: OrderSpec) -> tuple[str, ...]:
     """The deterministic full tie-break order shared by every execution path.
 
@@ -242,21 +257,7 @@ def effective_order(q: Query, o: OrderSpec) -> tuple[str, ...]:
     Sum: the anchor atom's head variables (head order) followed by a trio-free
     completion; without a single anchor atom, plain head order.
     """
-    if o.kind == LEX:
-        if len(o.vars) == len(q.head):
-            return tuple(o.vars)
-        completed = complete_order(q, o.vars)
-        if completed is not None:
-            return completed
-        return tuple(o.vars) + tuple(v for v in q.head if v not in set(o.vars))
-    anchor = sum_anchor_atom(q, o.vars)
-    if anchor is None:
-        return tuple(q.head)
-    prefix = tuple(v for v in q.head if v in q.atoms[anchor].var_set)
-    completed = complete_order(q, prefix)
-    if completed is not None:
-        return completed
-    return prefix + tuple(v for v in q.head if v not in set(prefix))
+    return _completion(q, o)[1]
 
 
 @dataclass(frozen=True)
@@ -301,13 +302,13 @@ def analyze(q: Query, o: OrderSpec) -> TractabilityReport:
 
     routing: dict[str, ModeVerdict] = {}
     trio = None
-    completed = None
     anchor = None
-    tie_break = effective_order(q, o)
+    completed, tie_break = _completion(q, o)
+    if not fc:
+        completed = None
 
     if o.kind == LEX:
         if fc:
-            completed = complete_order(q, o.vars)
             if completed is None:
                 trio = find_disruptive_trio(q, tie_break)
                 reason = "disruptive_trio" if len(o.vars) == len(q.head) else "no_trio_free_completion"
@@ -323,7 +324,6 @@ def analyze(q: Query, o: OrderSpec) -> TractabilityReport:
     else:
         anchor = sum_anchor_atom(q, o.vars)
         if fc and anchor is not None:
-            completed = complete_order(q, tuple(v for v in q.head if v in q.atoms[anchor].var_set))
             if completed is None:  # cannot happen for chordal head graphs; stay safe
                 routing[DIRECT_SUM] = ModeVerdict(False, ("no_trio_free_completion",))
                 routing[SINGLE_SUM] = ModeVerdict(False, ("no_trio_free_completion",))

@@ -19,7 +19,7 @@ from .baseline import (
 )
 from .engine import build_index
 from .errors import CqError, OutOfRange
-from .instrument import AccessStats
+from .instrument import AccessStats, SelectStats
 from .model import (
     LEX,
     load_instance,
@@ -93,12 +93,19 @@ def cmd_select(args) -> int:
     q, o, db = _load(args)
     report = analyze(q, o)
     fn = select_lex if o.kind == LEX else select_sum
+    stats = SelectStats() if args.stats else None
+    select_s = 0.0
     for k in _parse_ks(args.k):
+        t0 = time.perf_counter()
         try:
-            ans = fn(q, db, o, k, seed=args.seed, report=report)
-            _emit({"k": k, "answer": ans.as_dict()})
+            ans = fn(q, db, o, k, seed=args.seed, stats=stats, report=report)
+            line = {"k": k, "answer": ans.as_dict()}
         except OutOfRange:
-            _emit({"k": k, "error": "out_of_range"})
+            line = {"k": k, "error": "out_of_range"}
+        select_s += time.perf_counter() - t0
+        _emit(line)
+    if args.stats:
+        _emit({"rows_touched": stats.rows_touched, "select_ms": round(select_s * 1000.0, 3)})
     return 0
 
 
@@ -181,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("select", help="single access (selection) at positions k")
     common(sp, k=True)
     sp.add_argument("--seed", type=int, default=None, help="pivot RNG seed")
+    sp.add_argument("--stats", action="store_true", help="report rows_touched/select_ms")
     sp.set_defaults(fn=cmd_select)
 
     sp = sub.add_parser("baseline", help="reference strategies")

@@ -6,12 +6,14 @@ counting kernel: ``row_counts`` collapses each atom's duplicate rows into
 per-row counts (answers are a bag, so those counts flow through everything),
 and ``CountingTree`` walks a join tree bottom-up with one weighted-projection
 loop (row count × child messages, summed per projected value), then
-``count_at`` combines the messages at the chosen root. Construction happens
-in three steps:
+``count_at`` combines the messages at the chosen root. ``fix`` narrows the
+tree's tables to one value of a variable; each directed message is kept and
+reused until a ``fix`` drops rows on its side, so selection makes one tree
+per call. Construction happens in three steps:
 
 1. *Full reduction* — semi-join passes over the directed edges of a join tree
    of the atoms (up, then down), so every surviving row takes part in at
-   least one answer.
+   least one answer. Each pass deletes its dangling rows in place.
 
 2. *Existential elimination* — the kernel's counting messages toward a
    virtual head node added to the join tree. Atoms adjacent to the head node
@@ -37,8 +39,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
-from operator import itemgetter
+from itertools import accumulate, chain, compress
+from operator import itemgetter, not_
 
 from .analysis import (
     DIRECT_LEX,
@@ -84,20 +86,11 @@ def _proj(vars_: tuple[str, ...], wanted):
     return itemgetter(*idx) if idx else itemgetter(slice(0))
 
 
-def row_counts(bound, fixed=None, stats=None) -> list[dict[tuple, int]]:
-    """Each atom's distinct rows with their multiplicities, keeping only the
-    rows that agree with the ``fixed`` variable values."""
-    tables = []
-    for b in bound:
-        if stats is not None:
-            stats.rows_touched += len(b.rows)
-        rows = b.rows
-        pinned = [v for v in b.vars if v in fixed] if fixed else ()
-        if pinned:
-            key, want = _proj(b.vars, pinned), tuple(fixed[v] for v in pinned)
-            rows = [r for r in rows if key(r) == want]
-        tables.append(Counter(rows))
-    return tables
+def row_counts(bound, stats=None) -> list[dict[tuple, int]]:
+    """Each atom's distinct rows with their multiplicities."""
+    if stats is not None:
+        stats.rows_touched += sum(len(b.rows) for b in bound)
+    return [Counter(b.rows) for b in bound]
 
 
 class CountingTree:
@@ -107,7 +100,9 @@ class CountingTree:
     a node without a table may only serve as the root of ``messages``.
     Separators are keyed in one canonical variable order — the head first,
     then the other variables by first occurrence — so a message toward the
-    head comes out in head order.
+    head comes out in head order. ``fix`` narrows the tables in place; each
+    directed message is kept with the nodes on its side and reused until a
+    ``fix`` drops rows from one of them.
     """
 
     def __init__(self, vars_list, head, tables, mode: str, reason: str = "not_acyclic"):
@@ -118,6 +113,7 @@ class CountingTree:
         self.vars = tuple(vars_list)
         self.tables = tables
         self._canon = tuple(dict.fromkeys(chain(head, *vars_list)))
+        self._cache: dict[tuple[int, int], tuple[frozenset, dict]] = {}
 
     def separator(self, u: int, w: int) -> tuple[str, ...]:
         shared = self.tree.node_vars[u] & self.tree.node_vars[w]
@@ -125,6 +121,20 @@ class CountingTree:
 
     def key(self, u: int, wanted):
         return _proj(self.vars[u], wanted)
+
+    def fix(self, var: str, value, stats=None) -> None:
+        """Keep only the rows with ``var == value`` in every table holding
+        ``var`` (row order kept), and forget the messages they fed."""
+        narrowed = set()
+        for u, table in enumerate(self.tables):
+            if var in self.vars[u]:
+                if stats is not None:
+                    stats.rows_touched += len(table)
+                pos = self.vars[u].index(var)
+                self.tables[u] = {r: c for r, c in table.items() if r[pos] == value}
+                if len(self.tables[u]) < len(table):
+                    narrowed.add(u)
+        self._cache = {e: hit for e, hit in self._cache.items() if narrowed.isdisjoint(hit[0])}
 
     def _combine(self, u, out_vars, children, msg, stats):
         """The weighted projection: Σ row weight × child messages, per value
@@ -152,9 +162,15 @@ class CountingTree:
         tree = self.tree.rerooted(root)
         children = tree.children()
         msg: dict[int, dict[tuple, int]] = {}
-        for u in tree.postorder():
-            if u != root:
-                msg[u] = self._combine(u, self.separator(u, tree.parent[u]), children[u], msg, stats)
+        side: dict[int, frozenset] = {}
+        for u in tree.postorder()[:-1]:  # the root comes last
+            edge = (u, tree.parent[u])
+            hit = self._cache.get(edge)
+            if hit is None:
+                nodes = frozenset([u]).union(*(side[c] for c in children[u]))
+                m = self._combine(u, self.separator(*edge), children[u], msg, stats)
+                hit = self._cache[edge] = (nodes, m)
+            side[u], msg[u] = hit
         return msg, children
 
     def count_at(self, root: int, out_vars, stats=None) -> dict[tuple, int]:
@@ -163,24 +179,29 @@ class CountingTree:
         return self._combine(root, out_vars, children[root], msg, stats)
 
 
+def atom_tree(q: Query, bound, mode: str, stats=None) -> CountingTree:
+    """The counting tree over the bound atoms' row counts."""
+    return CountingTree([b.vars for b in bound], q.head, row_counts(bound, stats), mode)
+
+
 def build_reduced_db(q: Query, db: Instance) -> ReducedDB:
     """Stages 1 and 2: fully reduced, head-projected weighted relations."""
-    bound = bound_atoms(q, db)
-    tables = row_counts(bound)
-    vars_list = [b.vars for b in bound]
+    ct = atom_tree(q, bound_atoms(q, db), DIRECT_LEX)
+    tables, vars_list = ct.tables, list(ct.vars)
 
     # stage 1: full semi-join reduction over the directed edges, up then down
-    ct = CountingTree(vars_list, q.head, tables, DIRECT_LEX)
     parent = ct.tree.parent
     up = [(u, parent[u]) for u in ct.tree.postorder() if parent[u] is not None]
     for src, dst in up + [(p, u) for u, p in reversed(up)]:
         sep = ct.separator(src, dst)
         keys = set(map(ct.key(src, sep), tables[src]))
-        key = ct.key(dst, sep)
-        tables[dst] = {r: c for r, c in tables[dst].items() if key(r) in keys}
+        joins = map(keys.__contains__, map(ct.key(dst, sep), tables[dst]))
+        # delete in place the rows no src row joins: a pass that keeps all builds nothing
+        for r in list(compress(tables[dst], map(not_, joins))):
+            del tables[dst][r]
 
     # stage 2: counting messages toward a virtual head node F
-    F = len(bound)
+    F = len(tables)
     ct = CountingTree(vars_list + [q.head], q.head, tables, DIRECT_LEX, "not_free_connex")
     msg, children = ct.messages(F)
     reduced = []
@@ -191,13 +212,12 @@ def build_reduced_db(q: Query, db: Instance) -> ReducedDB:
     return ReducedDB(tuple(reduced))
 
 
-def sum_blocks(q: Query, bound, report: TractabilityReport, stats=None):
+def sum_blocks(q: Query, ct: CountingTree, report: TractabilityReport, stats=None):
     """The sum-anchor atom's head variables (head order), and per distinct
     value of them ``((rank key, values), answer count)``. The rank key orders
     the blocks by weight sum, then by the values."""
     anchor = report.sum_anchor
-    ct = CountingTree([b.vars for b in bound], q.head, row_counts(bound, stats=stats), DIRECT_SUM)
-    prefix = tuple(v for v in q.head if v in bound[anchor].vars)
+    prefix = tuple(v for v in q.head if v in ct.vars[anchor])
     wpos = [prefix.index(v) for v in report.order.vars]
     blocks = ct.count_at(anchor, prefix, stats)
     return prefix, [(((sum(p[i] for i in wpos), tuple_key(p)), p), w) for p, w in blocks.items()]
@@ -387,7 +407,7 @@ def preprocess_sum(
     vt, groups, totals, count, gm = _build_tables(q, db, order, stats)
     inner = AccessIndex(q, order, vt, groups, totals, count, gm, stats)
 
-    prefix, items = sum_blocks(q, bound_atoms(q, db), report)
+    prefix, items = sum_blocks(q, atom_tree(q, bound_atoms(q, db), DIRECT_SUM), report)
     if order[:len(prefix)] != prefix:
         raise AssertionError("sum order must start with the anchor atom's head variables")
     items = sorted_counted(items, key=itemgetter(0), stats=stats)

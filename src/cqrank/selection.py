@@ -3,11 +3,13 @@
 Each access fixes the order's variables one at a time: count the answers per
 candidate value of the next variable, then weighted-quickselect the residual
 rank into a value block. The counts come from the counting kernel that direct
-access builds on (``engine.row_counts`` and ``engine.CountingTree``: one
-linear bottom-up pass over the join tree, combined at an atom holding the
-variable). The variable sequence is the same deterministic tie-break order the
-direct-access engine uses, so both produce identical tuples wherever both are
-routed.
+access builds on: one call collapses the atoms' rows once
+(``engine.row_counts``) into one ``engine.CountingTree``, counts at an atom
+holding the variable, and narrows the tree to the chosen value (``fix``), so
+each later step scans only the surviving rows and reuses every message whose
+side lost none. The variable sequence is the same deterministic tie-break
+order the direct-access engine uses, so both produce identical tuples
+wherever both are routed.
 """
 
 from __future__ import annotations
@@ -15,10 +17,15 @@ from __future__ import annotations
 import random
 
 from .analysis import SINGLE_LEX, SINGLE_SUM, analyze
-from .engine import CountingTree, row_counts, sum_blocks
+from .engine import CountingTree, atom_tree, sum_blocks
 from .errors import KOutOfRange, NotRouted, OutOfRange
 from .instrument import SelectStats
 from .model import AnswerTuple, Instance, OrderSpec, Query, bound_atoms, value_key
+
+
+def _value_counts(ct: CountingTree, x: str, stats) -> list[tuple]:
+    root = next(u for u, vs in enumerate(ct.vars) if x in vs)
+    return [(v, w) for (v,), w in ct.count_at(root, (x,), stats).items()]
 
 
 def conditional_value_counts(
@@ -32,10 +39,10 @@ def conditional_value_counts(
     """(value, answer count) per candidate value of ``x`` consistent with
     ``fixed``, in first-occurrence order of the rooted atom. O(n) per call."""
     bound = _bound if _bound is not None else bound_atoms(q, db)
-    tables = row_counts(bound, fixed, stats)
-    ct = CountingTree([b.vars for b in bound], q.head, tables, SINGLE_LEX)
-    root = next(i for i, b in enumerate(bound) if x in b.vars)
-    return [(v, w) for (v,), w in ct.count_at(root, (x,), stats).items()]
+    ct = atom_tree(q, bound, SINGLE_LEX, stats)
+    for var, value in fixed.items():
+        ct.fix(var, value, stats)
+    return _value_counts(ct, x, stats)
 
 
 def weighted_select(items, k: int, rng=None, key=None):
@@ -91,17 +98,17 @@ def select_lex(
     if not verdict.ok:
         raise NotRouted(SINGLE_LEX, verdict.reasons)
     rng = random.Random(seed)
-    bound = bound_atoms(q, db)
+    ct = atom_tree(q, bound_atoms(q, db), SINGLE_LEX, stats)
     fixed: dict = {}
     kp = k
     for i, x in enumerate(report.tie_break_order):
-        items = conditional_value_counts(q, db, fixed, x, stats=stats, _bound=bound)
+        items = _value_counts(ct, x, stats)
         if i == 0:
             total = sum(w for _, w in items)
             if k < 0 or k >= total:
                 raise OutOfRange(k, total)
-        v, kp = weighted_select(items, kp, rng=rng)
-        fixed[x] = v
+        fixed[x], kp = weighted_select(items, kp, rng=rng)
+        ct.fix(x, fixed[x], stats)
     return AnswerTuple(q.head, tuple(fixed[v] for v in q.head))
 
 
@@ -121,16 +128,17 @@ def select_sum(
     if not verdict.ok:
         raise NotRouted(SINGLE_SUM, verdict.reasons)
     rng = random.Random(seed)
-    bound = bound_atoms(q, db)
-    prefix, items = sum_blocks(q, bound, report, stats)
+    ct = atom_tree(q, bound_atoms(q, db), SINGLE_SUM, stats)
+    prefix, items = sum_blocks(q, ct, report, stats)
     total = sum(w for _, w in items)
     if k < 0 or k >= total:
         raise OutOfRange(k, total)
 
     (_, vals), kp = weighted_select(items, k, rng=rng, key=lambda v: v[0])
     fixed = dict(zip(prefix, vals))
+    for x, v in fixed.items():
+        ct.fix(x, v, stats)
     for x in report.tie_break_order[len(prefix):]:
-        items = conditional_value_counts(q, db, fixed, x, stats=stats, _bound=bound)
-        v, kp = weighted_select(items, kp, rng=rng)
-        fixed[x] = v
+        fixed[x], kp = weighted_select(_value_counts(ct, x, stats), kp, rng=rng)
+        ct.fix(x, fixed[x], stats)
     return AnswerTuple(q.head, tuple(fixed[v] for v in q.head))

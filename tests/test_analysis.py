@@ -233,3 +233,21 @@ def test_hypergraph_of_query(qproj):
     assert h.vertices == frozenset("ABC")
     hh = Hypergraph.of_query(qproj, include_head=True)
     assert hh.edges[-1] == frozenset("AC")
+
+
+@pytest.mark.parametrize("order_text,completed,tie_break", [
+    ("lex: B", ("B", "A", "C", "D"), ("B", "A", "C", "D")),
+    ("lex: A,D", None, ("A", "D", "B", "C")),
+    ("sum: C,D", ("C", "D", "B", "A"), ("C", "D", "B", "A")),
+])
+def test_analyze_completes_the_order_once(q3path, monkeypatch, order_text, completed, tie_break):
+    import cqrank.analysis as mod
+
+    calls = []
+    real = mod.complete_order
+    monkeypatch.setattr(mod, "complete_order", lambda *a: (calls.append(a), real(*a))[1])
+    o = parse_order(order_text, q3path)
+    r = analyze(q3path, o)
+    assert len(calls) == 1
+    assert r.completed_order == completed and r.tie_break_order == tie_break
+    assert effective_order(q3path, o) == tie_break

@@ -163,3 +163,17 @@ def test_cli_missing_file_is_io_error(tmp_path, capsys):
     assert rc == 1
     (line,) = _lines(capsys)
     assert line["error"] == "io_error"
+
+
+def test_cli_select_stats(workspace, capsys):
+    rc = main([
+        "select", "--query", str(workspace / "q.cq"), "--data", str(workspace / "data"),
+        "--order", "lex: A,C,B", "--k", "1,9", "--seed", "7", "--stats",
+    ])
+    assert rc == 0
+    first, second, stats = _lines(capsys)
+    assert first == {"k": 1, "answer": {"A": 1, "B": 2, "C": 20}}
+    assert second == {"k": 9, "error": "out_of_range"}
+    assert set(stats) == {"rows_touched", "select_ms"}
+    assert stats["rows_touched"] >= 2 * 6  # each call collapses both relations' rows
+    assert isinstance(stats["select_ms"], float) and stats["select_ms"] > 0

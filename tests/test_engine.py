@@ -345,3 +345,50 @@ def test_checks_survive_python_O():
         "triangle_counts": "NotRouted",
         "projection_reduce": "NotRouted",
     }
+
+
+def test_counting_tree_reuses_messages_whose_side_kept_its_rows(q3path, monkeypatch):
+    from cqrank.analysis import SINGLE_LEX
+    from cqrank.engine import CountingTree, atom_tree
+    from cqrank.instrument import SelectStats
+    from cqrank.model import bound_atoms
+
+    db = Instance({
+        "R": Relation("R", ("A", "B"), ((1, 1), (2, 1), (2, 2))),
+        "S": Relation("S", ("B", "C"), ((1, 5), (2, 5), (2, 6))),
+        "T": Relation("T", ("C", "D"), ((5, 7), (6, 7), (6, 8))),
+    })
+    ct = atom_tree(q3path, bound_atoms(q3path, db), SINGLE_LEX)
+    combined = []
+    real = CountingTree._combine
+
+    def spy(self, u, *args):
+        combined.append(u)
+        return real(self, u, *args)
+
+    monkeypatch.setattr(CountingTree, "_combine", spy)
+    R, S, T = 0, 1, 2
+    assert ct.count_at(S, ("C",)) == {(5,): 3, (6,): 2}
+    assert sorted(combined) == [R, S, T]
+
+    # fixing A narrows R only: T -> S is reused, R -> S is recounted
+    combined.clear()
+    stats = SelectStats()
+    ct.fix("A", 2, stats)
+    assert stats.rows_touched == 3
+    assert ct.tables[R] == {(2, 1): 1, (2, 2): 1}
+    assert ct.count_at(S, ("C",)) == {(5,): 2, (6,): 2}
+    assert sorted(combined) == [R, S]
+
+    # fixing D narrows T only: R -> S is reused, T -> S is recounted
+    combined.clear()
+    ct.fix("D", 7)
+    assert ct.count_at(S, ("B",)) == {(1,): 1, (2,): 2}
+    assert sorted(combined) == [S, T]
+
+    # fixes that drop no row keep every message: T -> S is reused
+    combined.clear()
+    ct.fix("D", 7)
+    ct.fix("A", 2)
+    assert ct.count_at(R, ("B",)) == {(1,): 1, (2,): 2}
+    assert sorted(combined) == [R, S]

@@ -180,3 +180,53 @@ def test_select_work_bound(q3path):
         stats = SelectStats()
         select_lex(q3path, db, o, k, seed=0, stats=stats, report=report)
         assert stats.rows_touched <= 8 * f * n_total
+
+
+# consecutive variables sit in different atoms, so each step both reuses
+# cached counting messages and drops the ones a narrowed table fed
+NARROWING_ORDERS = [
+    ("Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D).", ("lex: A,C,B,D", "lex: D,A,C,B", "lex: A,D,B", "sum: C,D")),
+    ("Q(A,B,C,D) :- R(A,B), S(A,C), T(A,D).", ("lex: B,C,D,A", "lex: D,B,A,C", "lex: C,D", "sum: A,C")),
+]
+
+
+@pytest.mark.parametrize("query_text,orders", NARROWING_ORDERS)
+def test_narrowing_selection_matches_oracle(query_text, orders):
+    q = parse_query(query_text)
+    rng = random.Random(59)
+    for _ in range(25):
+        db = random_instance(q, rng, rng.randint(1, 12), rng.randint(1, 4))
+        for text in orders:
+            o = parse_order(text, q)
+            sel = select_lex if o.kind == "lex" else select_sum
+            report = analyze(q, o)
+            oracle = materialize_and_sort(q, db, o)
+            got = [sel(q, db, o, k, seed=k, report=report) for k in range(len(oracle))]
+            assert got == oracle, (text, db)
+
+
+def test_selection_counts_rows_once_per_call(q3path, monkeypatch):
+    import cqrank.engine as engine
+
+    calls = []
+    real_counts, real_init = engine.row_counts, engine.CountingTree.__init__
+
+    def spy_counts(bound, stats=None):
+        calls.append(("row_counts", [len(b.rows) for b in bound]))
+        return real_counts(bound, stats)
+
+    def spy_init(self, *args, **kwargs):
+        calls.append(("tree",))
+        real_init(self, *args, **kwargs)
+
+    db = random_instance(q3path, random.Random(61), 30, 4)
+    monkeypatch.setattr(engine, "row_counts", spy_counts)
+    monkeypatch.setattr(engine.CountingTree, "__init__", spy_init)
+    sizes = [len(db.relations[a.relation].rows) for a in q3path.atoms]
+    for text, sel in (("lex: A,C,B,D", select_lex), ("sum: C,D", select_sum)):
+        o = parse_order(text, q3path)
+        report = analyze(q3path, o)
+        for k in (0, 7):
+            calls.clear()
+            sel(q3path, db, o, k, seed=k, report=report)
+            assert calls == [("row_counts", sizes), ("tree",)], text
