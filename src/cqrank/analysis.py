@@ -294,51 +294,30 @@ class TractabilityReport:
 def analyze(q: Query, o: OrderSpec) -> TractabilityReport:
     """Route a (query, order) pair to the engines that can serve it."""
     acyclic, fc = check_free_connex(q)
-    base_reasons = []
-    if not acyclic:
-        base_reasons.append("not_acyclic")
-    elif not fc:
-        base_reasons.append("not_free_connex")
-
-    routing: dict[str, ModeVerdict] = {}
     trio = None
-    anchor = None
+    anchor = None if o.kind == LEX else sum_anchor_atom(q, o.vars)
     completed, tie_break = _completion(q, o)
     if not fc:
         completed = None
 
-    if o.kind == LEX:
-        if fc:
-            if completed is None:
-                trio = find_disruptive_trio(q, tie_break)
-                reason = "disruptive_trio" if len(o.vars) == len(q.head) else "no_trio_free_completion"
-                routing[DIRECT_LEX] = ModeVerdict(False, (reason,))
-            else:
-                routing[DIRECT_LEX] = ModeVerdict(True)
-            routing[SINGLE_LEX] = ModeVerdict(True)
-        else:
-            routing[DIRECT_LEX] = ModeVerdict(False, tuple(base_reasons))
-            routing[SINGLE_LEX] = ModeVerdict(False, tuple(base_reasons))
-        routing[DIRECT_SUM] = ModeVerdict(False, ("order_kind_mismatch",))
-        routing[SINGLE_SUM] = ModeVerdict(False, ("order_kind_mismatch",))
-    else:
-        anchor = sum_anchor_atom(q, o.vars)
-        if fc and anchor is not None:
-            if completed is None:  # cannot happen for chordal head graphs; stay safe
-                routing[DIRECT_SUM] = ModeVerdict(False, ("no_trio_free_completion",))
-                routing[SINGLE_SUM] = ModeVerdict(False, ("no_trio_free_completion",))
-            else:
-                routing[DIRECT_SUM] = ModeVerdict(True)
-                routing[SINGLE_SUM] = ModeVerdict(True)
-        else:
-            reasons = tuple(base_reasons) or ("sum_vars_not_single_atom",)
-            if fc and anchor is None:
-                reasons = ("sum_vars_not_single_atom",)
-            routing[DIRECT_SUM] = ModeVerdict(False, reasons)
-            routing[SINGLE_SUM] = ModeVerdict(False, reasons)
-        routing[DIRECT_LEX] = ModeVerdict(False, ("order_kind_mismatch",))
-        routing[SINGLE_LEX] = ModeVerdict(False, ("order_kind_mismatch",))
+    # one (direct, single) verdict pair for the order kind's own two modes
+    if not fc:
+        direct = single = ModeVerdict(False, ("not_free_connex" if acyclic else "not_acyclic",))
+    elif o.kind != LEX and anchor is None:
+        direct = single = ModeVerdict(False, ("sum_vars_not_single_atom",))
+    elif completed is not None:
+        direct = single = ModeVerdict(True)
+    elif o.kind == LEX:
+        trio = find_disruptive_trio(q, tie_break)
+        reason = "disruptive_trio" if len(o.vars) == len(q.head) else "no_trio_free_completion"
+        direct, single = ModeVerdict(False, (reason,)), ModeVerdict(True)
+    else:  # a sum order without a completion: cannot happen for chordal head graphs; stay safe
+        direct = single = ModeVerdict(False, ("no_trio_free_completion",))
 
+    lex_modes, sum_modes = (DIRECT_LEX, SINGLE_LEX), (DIRECT_SUM, SINGLE_SUM)
+    own, other = (lex_modes, sum_modes) if o.kind == LEX else (sum_modes, lex_modes)
+    routing = dict(zip(own, (direct, single)))
+    routing.update(dict.fromkeys(other, ModeVerdict(False, ("order_kind_mismatch",))))
     routing[BASELINE_ONLY] = ModeVerdict(True)
     return TractabilityReport(
         acyclic=acyclic,

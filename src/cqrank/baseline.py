@@ -1,6 +1,11 @@
 """Reference strategies: full materialization, bounded-heap top-k, and
 sort-before-join with early termination, plus the two SQL encodings.
 
+All three run on one join executor: ``_join_plan`` picks a greedy connected
+join order from a start atom and builds one probe bucket per further atom,
+and ``_extend`` walks it depth first. The oracle and top-k stream the plan
+from atom 0; sort-before-join starts it at one end of a path.
+
 ``materialize_and_sort`` is the oracle everything else is tested against. It
 evaluates the join as a bag (duplicate input rows stay distinct derivations)
 and sorts with the library-wide deterministic tie-break, so direct access,
@@ -10,9 +15,12 @@ selection, and the baselines are comparable tuple-for-tuple at every rank.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
-from .analysis import effective_order
+from .analysis import check_free_connex, effective_order
+from .engine import _proj
 from .errors import (
     MultiplePositionsWithOffsetDialect,
     NotApplicable,
@@ -29,49 +37,41 @@ OFFSET_LIMIT = "offset"
 CTE_ROW_NUMBER = "cte"
 
 
-def _join_plan(q: Query, db: Instance):
-    """Greedy connected join order with per-atom probe buckets."""
+def _join_plan(q: Query, db: Instance, first: int = 0):
+    """Greedy connected join order from atom ``first``: that atom's rows, one
+    (key, bucket) probe step per further atom, and the variables in the order
+    the plan binds them."""
     bound = bound_atoms(q, db)
-    acc_vars = list(bound[0].vars)
-    rest = set(range(1, len(bound)))
+    plan_vars = bound[first].vars
+    rest = [i for i in range(len(bound)) if i != first]
     steps = []
     while rest:
-        nxt = next(
-            (i for i in sorted(rest) if set(bound[i].vars) & set(acc_vars)),
-            min(rest, default=None),
-        )
-        rest.discard(nxt)
+        nxt = next((i for i in rest if set(bound[i].vars) & set(plan_vars)), rest[0])
+        rest.remove(nxt)
         b = bound[nxt]
-        shared = [v for v in b.vars if v in acc_vars]
-        acc_idx = tuple(acc_vars.index(v) for v in shared)
-        row_shared_idx = tuple(b.vars.index(v) for v in shared)
-        new_idx = tuple(i for i, v in enumerate(b.vars) if v not in acc_vars)
+        shared = [v for v in b.vars if v in plan_vars]
+        new = [v for v in b.vars if v not in plan_vars]
+        row_key, row_new = _proj(b.vars, shared), _proj(b.vars, new)
         bucket: dict[tuple, list] = {}
         for r in b.rows:
-            bucket.setdefault(tuple(r[i] for i in row_shared_idx), []).append(
-                tuple(r[i] for i in new_idx)
-            )
-        steps.append((acc_idx, bucket))
-        acc_vars.extend(b.vars[i] for i in new_idx)
-    head_idx = tuple(acc_vars.index(v) for v in q.head)
-    return bound[0].rows, steps, head_idx
+            bucket.setdefault(row_key(r), []).append(row_new(r))
+        steps.append((_proj(plan_vars, shared), bucket))
+        plan_vars += tuple(new)
+    return bound[first].rows, steps, plan_vars
+
+
+def _extend(rows, steps):
+    """Each row extended through the probe steps, lazily and depth first."""
+    if not steps:
+        return iter(rows)
+    key, bucket = steps[-1]
+    return (acc + ext for acc in _extend(rows, steps[:-1]) for ext in bucket.get(key(acc), ()))
 
 
 def stream_answers(q: Query, db: Instance):
     """Yield the answer bag as head-order value tuples, depth first."""
-    first_rows, steps, head_idx = _join_plan(q, db)
-    depth = len(steps)
-
-    def walk(level, acc):
-        if level == depth:
-            yield tuple(acc[i] for i in head_idx)
-            return
-        acc_idx, bucket = steps[level]
-        for ext in bucket.get(tuple(acc[i] for i in acc_idx), ()):
-            yield from walk(level + 1, acc + ext)
-
-    for r in first_rows:
-        yield from walk(0, r)
+    rows, steps, plan_vars = _join_plan(q, db)
+    yield from map(_proj(plan_vars, q.head), _extend(rows, steps))
 
 
 def sort_key_fn(q: Query, o: OrderSpec):
@@ -110,27 +110,6 @@ class StrategyLog:
     def switched(self) -> bool:
         return self.ran != self.requested
 
-    def as_dict(self) -> dict:
-        return {
-            "requested": self.requested,
-            "ran": self.ran,
-            "reason": self.reason,
-            "answers": self.answers,
-            "k": self.k,
-        }
-
-
-class _RevKey:
-    """Reversed comparison so heapq keeps the k+1 smallest with pops at the max."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        return other.key < self.key
-
 
 def topk_heap_access(q: Query, db: Instance, o: OrderSpec, k: int, cap: int = 10**8):
     """Bounded-heap access, with the planner's switch to a full sort once
@@ -142,45 +121,25 @@ def topk_heap_access(q: Query, db: Instance, o: OrderSpec, k: int, cap: int = 10
     if 2 * k >= count:
         log = StrategyLog(TOPK_HEAP, FULL_SORT, "k >= |J|/2", count, k)
         return materialize_and_sort(q, db, o, cap)[k], log
-    keyf = sort_key_fn(q, o)
-    heap = []
-    for t in stream_answers(q, db):
-        heapq.heappush(heap, (_RevKey(keyf(t)), t))
-        if len(heap) > k + 1:
-            heapq.heappop(heap)
+    # a heap of the k+1 smallest answers; its largest is the answer at k
+    best = heapq.nsmallest(k + 1, stream_answers(q, db), key=sort_key_fn(q, o))[-1]
     log = StrategyLog(TOPK_HEAP, TOPK_HEAP, "k < |J|/2", count, k)
-    return AnswerTuple(q.head, heap[0][1]), log
+    return AnswerTuple(q.head, best), log
 
 
-def _path_chain(q: Query):
-    """Variable chain v0..vm of a path-shaped query, or None."""
-    pairs = []
-    for a in q.atoms:
-        vs = tuple(dict.fromkeys(a.vars))
-        if len(vs) != 2:
-            return None
-        pairs.append(frozenset(vs))
-    if len(set(pairs)) != len(pairs):
-        return None  # repeated edge
-    adj: dict[str, list[str]] = {}
-    for p in pairs:
-        x, y = sorted(p)
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
-    if len(adj) != len(pairs) + 1:
+def _path_start(q: Query) -> int | None:
+    """The atom at the path end that sorts first by name, if the atoms form
+    a path over distinct variables (a tree with maximum degree 2), else None."""
+    edges = [a.var_set for a in q.atoms]
+    if any(len(e) != 2 for e in edges) or len(set(edges)) != len(edges):
         return None
-    ends = sorted(v for v, ns in adj.items() if len(ns) == 1)
-    if len(ends) != 2 or any(len(ns) > 2 for ns in adj.values()):
+    degree = Counter(chain.from_iterable(edges))
+    if len(degree) != len(edges) + 1 or max(degree.values()) > 2:
         return None
-    chain = [ends[0]]
-    prev = None
-    while True:
-        nxt = [v for v in adj[chain[-1]] if v != prev]
-        if not nxt:
-            break
-        prev = chain[-1]
-        chain.append(nxt[0])
-    return chain if len(chain) == len(adj) else None
+    if not check_free_connex(q)[0]:  # |V| = |E| + 1 and acyclic: connected
+        return None
+    end = min(v for v, d in degree.items() if d == 1)
+    return next(i for i, e in enumerate(edges) if end in e)
 
 
 @dataclass(frozen=True)
@@ -188,82 +147,42 @@ class EarlyStopLog:
     emitted: int
     block_size: int
 
-    def as_dict(self) -> dict:
-        return {"emitted": self.emitted, "block_size": self.block_size}
-
 
 def sort_before_join_access(q: Query, db: Instance, o: OrderSpec, k: int):
     """Sorted streaming plan for a single-attribute order on a path join.
 
-    Joins the atoms up to the order attribute's position, sorts that
-    intermediate once in attribute order, then streams it through per-tuple
-    probes of the remaining relations ("nested loop" row-at-a-time), stopping
-    as soon as the block containing position k is complete. Ties beyond the
-    attribute are re-ranked inside that one block with the deterministic
-    tie-break. Returns (answer, EarlyStopLog)."""
+    Runs the join plan from one end of the path: joins the atoms up to the
+    order attribute's position, sorts that intermediate once in attribute
+    order, then streams it through per-tuple probes of the remaining
+    relations ("nested loop" row-at-a-time), stopping as soon as the block
+    containing position k is complete. Ties beyond the attribute are
+    re-ranked inside that one block with the deterministic tie-break.
+    Returns (answer, EarlyStopLog)."""
     if o.kind != LEX or len(o.vars) != 1:
         raise NotApplicable("sort-before-join needs a single-attribute lex order")
-    chain = _path_chain(q)
-    if chain is None:
+    first = _path_start(q)
+    if first is None:
         raise NotApplicable("sort-before-join needs a path-shaped join")
     b = o.vars[0]
-    bound = bound_atoms(q, db)
-    by_edge = {frozenset(a.vars): i for i, a in enumerate(bound)}
-    chain_atoms = [by_edge[frozenset((chain[i], chain[i + 1]))] for i in range(len(chain) - 1)]
-    j = chain.index(b)
-
-    split = max(j, 1)
-    acc_vars = list(chain[: split + 1])
-    inter = None
-    for step, ai in enumerate(chain_atoms[:split]):
-        a = bound[ai]
-        left, right = chain[step], chain[step + 1]
-        li, ri = a.vars.index(left), a.vars.index(right)
-        if inter is None:
-            inter = [(r[li], r[ri]) for r in a.rows]
-            continue
-        bucket: dict = {}
-        for r in a.rows:
-            bucket.setdefault(r[li], []).append(r[ri])
-        inter = [p + (nv,) for p in inter for nv in bucket.get(p[-1], ())]
-    bpos = acc_vars.index(b)
-    inter.sort(key=lambda t: value_key(t[bpos]))  # the one sort this plan inserts
-
-    probes = []
-    for step, ai in enumerate(chain_atoms[split:], start=split):
-        a = bound[ai]
-        left, right = chain[step], chain[step + 1]
-        li, ri = a.vars.index(left), a.vars.index(right)
-        bucket = {}
-        for r in a.rows:
-            bucket.setdefault(r[li], []).append(r[ri])
-        probes.append(bucket)
-
-    head_idx = tuple((acc_vars + chain[split + 1:]).index(v) for v in q.head)
-
-    def walk(level, acc):
-        if level == len(probes):
-            yield tuple(acc[i] for i in head_idx)
-            return
-        for nv in probes[level].get(acc[-1], ()):
-            yield from walk(level + 1, acc + (nv,))
+    rows, steps, plan_vars = _join_plan(q, db, first)
+    bpos = plan_vars.index(b)
+    # the first atom binds two variables, each later atom one: atoms 0..split-1
+    # bind every variable up to b
+    split = max(bpos, 1)
+    inter = sorted(_extend(rows, steps[:split - 1]), key=lambda t: value_key(t[bpos]))
 
     hb = q.head.index(b)
     emitted = 0
     block: list[tuple] = []
     block_start = 0
-    for row in inter:
-        for ans in walk(0, row):
-            if block and value_key(ans[hb]) != value_key(block[-1][hb]):
-                if emitted > k:
-                    break
-                block_start = emitted
-                block = []
-            block.append(ans)
-            emitted += 1
-        else:
-            continue
-        break
+    for ans in map(_proj(plan_vars, q.head), _extend(inter, steps[split - 1:])):
+        if block and value_key(ans[hb]) != value_key(block[-1][hb]):
+            if emitted > k:
+                break
+            block_start = emitted
+            block = []
+        block.append(ans)
+        emitted += 1
     if emitted <= k:
         raise OutOfRange(k, emitted)
     block.sort(key=sort_key_fn(q, o))

@@ -7,6 +7,7 @@ import json
 import re
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -18,7 +19,7 @@ from .baseline import (
     topk_heap_access,
 )
 from .engine import build_index
-from .errors import CqError, OutOfRange
+from .errors import CqError, InvalidPositions, OutOfRange
 from .instrument import AccessStats, SelectStats
 from .model import (
     LEX,
@@ -49,7 +50,10 @@ def _load(args, need_data=True):
 
 
 def _parse_ks(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p != ""]
+    try:
+        return [int(p) for p in text.split(",") if p != ""]
+    except ValueError:
+        raise InvalidPositions(text) from None
 
 
 def cmd_analyze(args) -> int:
@@ -122,10 +126,10 @@ def cmd_baseline(args) -> int:
                 ans, log = ordered[k], {"requested": "FullSort", "ran": "FullSort"}
             elif args.strategy == "topk-heap":
                 ans, slog = topk_heap_access(q, db, o, k, cap=args.cap)
-                log = slog.as_dict()
+                log = asdict(slog)
             else:  # sort-before-join
                 ans, slog = sort_before_join_access(q, db, o, k)
-                log = slog.as_dict()
+                log = asdict(slog)
             _emit({"k": k, "answer": ans.as_dict(), "strategy_log": log})
         except OutOfRange:
             _emit({"k": k, "error": "out_of_range"})
@@ -225,7 +229,7 @@ def main(argv=None) -> int:
     except CqError as exc:
         _emit({"error": _error_code(exc), "detail": str(exc)})
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8 text
         _emit({"error": "io_error", "detail": str(exc)})
         return 1
 

@@ -69,10 +69,6 @@ class ReducedAtom:
 class ReducedDB:
     atoms: tuple[ReducedAtom, ...]
 
-    @property
-    def empty(self) -> bool:
-        return any(not a.rows for a in self.atoms)
-
 
 def _proj(vars_: tuple[str, ...], wanted):
     """Key function: a row over ``vars_`` -> the tuple of its ``wanted`` values.
@@ -234,7 +230,7 @@ class _Group:
 
 
 def _sort_values(values, stats: PreprocessStats | None):
-    if stats is not None and stats.counted:
+    if stats is not None:
         return sorted_counted(values, key=value_key, stats=stats)
     try:
         # values of one kind compare natively exactly as value_key orders them
@@ -286,13 +282,12 @@ def _build_tables(q: Query, db: Instance, order, stats: PreprocessStats | None):
         groups[i] = gmap
         totals[i] = {nu: grp.cums[-1] for nu, grp in gmap.items()}
 
-    global_mult = 1
+    count = 1
     for ai in vt.scalar_atoms:
-        global_mult *= rdb.atoms[ai].rows.get((), 0)
-    count = global_mult
+        count *= rdb.atoms[ai].rows.get((), 0)
     for r in vt.roots():
         count *= totals[r].get((), 0)
-    return vt, groups, totals, count, global_mult
+    return vt, groups, count
 
 
 @dataclass
@@ -304,10 +299,8 @@ class AccessIndex:
     order: tuple[str, ...]
     vtree: VariableTree
     groups: list[dict[tuple, _Group]]
-    totals: list[dict[tuple, int]]
     count: int
-    global_mult: int
-    build_stats: PreprocessStats
+    build_stats: PreprocessStats | None  # set on builds that count comparisons
     _npos: list[tuple[int, ...]] = field(default_factory=list)
     _head_pick: tuple[int, ...] = ()
 
@@ -340,23 +333,26 @@ class AccessIndex:
         return self._descend([None] * len(self.order), self.count, k, 0, stats)
 
 
+def _routed_build(q: Query, db: Instance, report: TractabilityReport, mode: str,
+                  count_comparisons: bool) -> AccessIndex:
+    """The index over the completed order, if the analyzer routed ``mode``."""
+    verdict = report.routing[mode]
+    if not verdict.ok:
+        raise NotRouted(mode, verdict.reasons)
+    stats = PreprocessStats() if count_comparisons else None
+    order = report.completed_order
+    return AccessIndex(q, order, *_build_tables(q, db, order, stats), stats)
+
+
 def preprocess_lex(
     q: Query,
     db: Instance,
-    report: TractabilityReport | None = None,
+    report: TractabilityReport,
     *,
     count_comparisons: bool = False,
 ) -> AccessIndex:
     """Build the ranked-access index for a routed lexicographic order."""
-    if report is None:
-        raise ValueError("preprocess_lex needs the analyzer report")
-    verdict = report.routing[DIRECT_LEX]
-    if not verdict.ok:
-        raise NotRouted(DIRECT_LEX, verdict.reasons)
-    stats = PreprocessStats(counted=count_comparisons)
-    order = report.completed_order
-    vt, groups, totals, count, gm = _build_tables(q, db, order, stats)
-    return AccessIndex(q, order, vt, groups, totals, count, gm, stats)
+    return _routed_build(q, db, report, DIRECT_LEX, count_comparisons)
 
 
 def direct_access(ix: AccessIndex, k: int, stats: AccessStats | None = None) -> AnswerTuple:
@@ -378,7 +374,7 @@ class SumAccessIndex:
     cums: list[int]
     prefix_len: int
     count: int
-    build_stats: PreprocessStats
+    build_stats: PreprocessStats | None  # set on builds that count comparisons
 
     def access(self, k: int, stats: AccessStats | None = None) -> AnswerTuple:
         if k < 0 or k >= self.count:
@@ -392,25 +388,17 @@ class SumAccessIndex:
 def preprocess_sum(
     q: Query,
     db: Instance,
-    report: TractabilityReport | None = None,
+    report: TractabilityReport,
     *,
     count_comparisons: bool = False,
 ) -> SumAccessIndex:
     """Build the ranked-access index for a routed single-atom sum order."""
-    if report is None:
-        raise ValueError("preprocess_sum needs the analyzer report")
-    verdict = report.routing[DIRECT_SUM]
-    if not verdict.ok:
-        raise NotRouted(DIRECT_SUM, verdict.reasons)
-    stats = PreprocessStats(counted=count_comparisons)
-    order = report.completed_order
-    vt, groups, totals, count, gm = _build_tables(q, db, order, stats)
-    inner = AccessIndex(q, order, vt, groups, totals, count, gm, stats)
+    inner = _routed_build(q, db, report, DIRECT_SUM, count_comparisons)
 
     prefix, items = sum_blocks(q, atom_tree(q, bound_atoms(q, db), DIRECT_SUM), report)
-    if order[:len(prefix)] != prefix:
+    if inner.order[:len(prefix)] != prefix:
         raise AssertionError("sum order must start with the anchor atom's head variables")
-    items = sorted_counted(items, key=itemgetter(0), stats=stats)
+    items = sorted_counted(items, key=itemgetter(0), stats=inner.build_stats)
 
     cums, anchor_vals = [], []
     running = 0
@@ -418,9 +406,9 @@ def preprocess_sum(
         running += ext
         cums.append(running)
         anchor_vals.append(rvals)
-    if running != count:
+    if running != inner.count:
         raise AssertionError("anchor extension counts must add up to the answer count")
-    return SumAccessIndex(inner, anchor_vals, cums, len(prefix), count, stats)
+    return SumAccessIndex(inner, anchor_vals, cums, len(prefix), inner.count, inner.build_stats)
 
 
 def direct_access_sum(ix: SumAccessIndex, k: int, stats: AccessStats | None = None) -> AnswerTuple:

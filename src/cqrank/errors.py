@@ -120,6 +120,14 @@ class MultiplePositionsWithOffsetDialect(CqError):
         super().__init__("OFFSET/LIMIT emits exactly one position; use the CTE dialect")
 
 
+# --- command line ---
+
+class InvalidPositions(CqError):
+    def __init__(self, text):
+        super().__init__(f"positions must be comma-separated integers, got {text!r}")
+        self.text = text
+
+
 # --- bench ---
 
 class ConfigError(CqError):

@@ -16,7 +16,6 @@ class AccessStats:
 @dataclass
 class PreprocessStats:
     comparisons: int = 0  # key comparisons inside preprocessing sorts
-    counted: bool = False  # comparisons are only tracked when True
 
 
 @dataclass
@@ -39,8 +38,8 @@ class CountingKey:
 
 
 def sorted_counted(items, key, stats=None):
-    """``sorted`` that feeds comparison counts into ``stats`` when enabled."""
-    if stats is not None and stats.counted:
+    """``sorted`` that feeds comparison counts into ``stats`` when given."""
+    if stats is not None:
         return sorted(items, key=lambda x: CountingKey(key(x), stats))
     return sorted(items, key=key)
 

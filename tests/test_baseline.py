@@ -111,27 +111,48 @@ def test_sort_before_join_examples(q3path):
         sort_before_join_access(q3path, db, o, len(oracle))
 
 
-def test_sort_before_join_not_applicable_star(qstar):
-    db = Instance({
-        "R": Relation("R", ("A", "B"), ((1, 1),)),
-        "S": Relation("S", ("A", "C"), ((1, 1),)),
-        "T": Relation("T", ("A", "D"), ((1, 1),)),
-    })
+@pytest.mark.parametrize("text", [
+    pytest.param("Q(A,B,C,D) :- R(A,B), S(A,C), T(A,D).", id="star"),
+    pytest.param("Q(A,B) :- R(A,B), S(B,A).", id="repeated-edge"),
+    pytest.param("Q(A,B,C,D) :- R(A,B), S(A,B), T(C,D).", id="repeated-edge-plus-edge"),
+    pytest.param("Q(A,B,C,D,E) :- R(A,B), S(B,C), T(C,A), U(D,E).", id="triangle-plus-edge"),
+    pytest.param("Q(A,B,C,D) :- R(A,B,C), S(C,D).", id="arity-3"),
+    pytest.param("Q(A,B) :- R(A), S(A,B).", id="unary"),
+])
+def test_sort_before_join_not_applicable(text):
+    q = parse_query(text)
+    db = random_instance(q, random.Random(5), 4, 2)
     with pytest.raises(NotApplicable):
-        sort_before_join_access(qstar, db, parse_order("lex: A", qstar), 0)
+        sort_before_join_access(q, db, parse_order(f"lex: {q.head[0]}", q), 0)
+
+
+# path joins in the shapes sort-before-join must accept: column order, atom
+# order, repeated variables, self-joins and projection do not change the plan
+SBJ_PATHS = [
+    "Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D).",
+    "Q(A,B,C,D) :- T(C,D), R(A,B), S(B,C).",  # atoms out of chain order
+    "Q(A,B,C,D) :- R(B,A), S(C,B), T(D,C).",  # reversed columns
+    "Q(A,B,C,D) :- R(A,B,A), S(B,C), T(C,D).",  # repeated variable
+    "Q(A,B,C,D) :- R(A,B), R(B,C), S(C,D).",  # self-join
+    "Q(D,B,A) :- R(A,B), S(B,C), T(C,D).",  # projected head
+]
 
 
 @pytest.mark.parametrize("attr", ["A", "B", "C", "D"])
-def test_sort_before_join_matches_oracle_every_k(q3path, attr):
+def test_sort_before_join_matches_oracle_every_k(attr):
     rng = random.Random(ord(attr))
-    o = parse_order(f"lex: {attr}", q3path)
-    for _ in range(8):
-        db = random_instance(q3path, rng, rng.randint(1, 9), rng.randint(1, 3))
-        oracle = materialize_and_sort(q3path, db, o)
-        for k in range(len(oracle)):
-            ans, log = sort_before_join_access(q3path, db, o, k)
-            assert ans == oracle[k], (attr, k)
-            assert log.emitted <= len(oracle)
+    for text in SBJ_PATHS:
+        q = parse_query(text)
+        if attr not in q.head:
+            continue
+        o = parse_order(f"lex: {attr}", q)
+        for _ in range(8):
+            db = random_instance(q, rng, rng.randint(1, 7), rng.randint(1, 3))
+            oracle = materialize_and_sort(q, db, o)
+            for k in range(len(oracle)):
+                ans, log = sort_before_join_access(q, db, o, k)
+                assert ans == oracle[k], (text, attr, k)
+                assert log.emitted <= len(oracle)
 
 
 def test_sort_before_join_early_termination(q3path):

@@ -177,3 +177,28 @@ def test_cli_select_stats(workspace, capsys):
     assert set(stats) == {"rows_touched", "select_ms"}
     assert stats["rows_touched"] >= 2 * 6  # each call collapses both relations' rows
     assert isinstance(stats["select_ms"], float) and stats["select_ms"] > 0
+
+
+@pytest.mark.parametrize("command", ["access", "select", "baseline", "emit-sql"])
+@pytest.mark.parametrize("ks", ["x", "1.5", "1,x"])
+def test_cli_bad_positions_are_cq_errors(workspace, capsys, command, ks):
+    argv = [command, "--query", str(workspace / "q.cq"), "--order", "lex: A,B,C", "--k", ks]
+    argv += {
+        "access": ["--data", str(workspace / "data")],
+        "select": ["--data", str(workspace / "data")],
+        "baseline": ["--data", str(workspace / "data"), "--strategy", "full-sort"],
+        "emit-sql": ["--dialect", "cte"],
+    }[command]
+    assert main(argv) == 1
+    (line,) = _lines(capsys)
+    assert line["error"] == "invalid_positions"
+
+
+def test_cli_undecodable_files_are_io_errors(workspace, capsys):
+    bad = workspace / "bad.cq"
+    bad.write_bytes(b"Q(A) :- R(A\xff).\n")
+    assert main(["analyze", "--query", str(bad), "--order", "lex: A"]) == 1
+    (workspace / "data" / "S.csv").write_bytes(b"B,C\n1,\xff\n")
+    assert main(["count", "--query", str(workspace / "q.cq"), "--data", str(workspace / "data"),
+                 "--order", "lex: A,B,C"]) == 1
+    assert [line["error"] for line in _lines(capsys)] == ["io_error", "io_error"]
