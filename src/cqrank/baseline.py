@@ -22,6 +22,7 @@ from itertools import chain
 from .analysis import check_free_connex, effective_order
 from .engine import _proj
 from .errors import (
+    InvalidPositions,
     MultiplePositionsWithOffsetDialect,
     NotApplicable,
     OutOfRange,
@@ -31,7 +32,6 @@ from .model import LEX, AnswerTuple, Instance, OrderSpec, Query, bound_atoms, va
 
 FULL_SORT = "FullSort"
 TOPK_HEAP = "TopKHeap"
-SORT_BEFORE_JOIN = "SortBeforeJoin"
 
 OFFSET_LIMIT = "offset"
 CTE_ROW_NUMBER = "cte"
@@ -202,6 +202,8 @@ def emit_sql(q: Query, o: OrderSpec, positions, dialect: str) -> str:
     positions = list(positions)
     if dialect == OFFSET_LIMIT and len(positions) != 1:
         raise MultiplePositionsWithOffsetDialect()
+    if any(k < 0 for k in positions):
+        raise InvalidPositions(",".join(map(str, positions)), "non-negative")
 
     seen: dict[str, int] = {}
     aliases = []

@@ -26,6 +26,7 @@ from .model import (
     load_instance,
     parse_order,
     parse_query,
+    read_utf8,
     validate_instance,
 )
 from .selection import select_lex, select_sum
@@ -40,7 +41,7 @@ def _emit(obj) -> None:
 
 
 def _load(args, need_data=True):
-    q = parse_query(Path(args.query).read_text(encoding="utf-8"))
+    q = parse_query(read_utf8(args.query))
     o = parse_order(args.order, q)
     if not need_data:
         return q, o, None

@@ -123,8 +123,8 @@ class MultiplePositionsWithOffsetDialect(CqError):
 # --- command line ---
 
 class InvalidPositions(CqError):
-    def __init__(self, text):
-        super().__init__(f"positions must be comma-separated integers, got {text!r}")
+    def __init__(self, text, want="comma-separated integers"):
+        super().__init__(f"positions must be {want}, got {text!r}")
         self.text = text
 
 

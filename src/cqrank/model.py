@@ -252,9 +252,18 @@ def format_order(o: OrderSpec) -> str:
 
 # --- loading -----------------------------------------------------------------
 
+def read_utf8(path) -> str:
+    """A file's text; if it is not UTF-8, the error's message names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        exc.reason += f" in {path}"
+        raise
+
+
 def load_relation(path, name: str) -> Relation:
     """Load a header-first CSV file (comma-separated, no quoting) in file order."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path)
     lines = text.replace("\r\n", "\n").split("\n")
     if lines and lines[-1] == "":
         lines.pop()  # trailing newline, not an empty row

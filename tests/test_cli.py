@@ -121,6 +121,15 @@ def test_cli_emit_sql_to_file(workspace, capsys, tmp_path):
     assert "WHERE row_idx IN (1, 2)" in out.read_text()
 
 
+@pytest.mark.parametrize("dialect, ks", [("offset", "-1"), ("cte", "-3,0")])
+def test_cli_emit_sql_rejects_negative_positions(workspace, capsys, dialect, ks):
+    rc = main(["emit-sql", "--query", str(workspace / "q.cq"), "--order", "lex: A,B,C",
+               "--dialect", dialect, f"--k={ks}"])
+    assert rc == 1
+    (line,) = _lines(capsys)
+    assert line["error"] == "invalid_positions" and ks in line["detail"]
+
+
 def test_cli_gen_and_access_round_trip(tmp_path, capsys):
     rc = main(["gen", "--n", "50", "--join-size", "small", "--seed", "3",
                "--out", str(tmp_path / "gendata")])
@@ -201,4 +210,6 @@ def test_cli_undecodable_files_are_io_errors(workspace, capsys):
     (workspace / "data" / "S.csv").write_bytes(b"B,C\n1,\xff\n")
     assert main(["count", "--query", str(workspace / "q.cq"), "--data", str(workspace / "data"),
                  "--order", "lex: A,B,C"]) == 1
-    assert [line["error"] for line in _lines(capsys)] == ["io_error", "io_error"]
+    lines = _lines(capsys)
+    assert [line["error"] for line in lines] == ["io_error", "io_error"]
+    assert "bad.cq" in lines[0]["detail"] and "S.csv" in lines[1]["detail"]

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import cqrank
-from cqrank.analysis import analyze
+from cqrank.analysis import DIRECT_LEX, DIRECT_SUM, analyze
 from cqrank.baseline import materialize_and_sort
 from cqrank.engine import (
+    build_index,
     build_reduced_db,
     direct_access,
     direct_access_sum,
@@ -96,6 +97,74 @@ def test_reduced_db_invariants_random(q2path):
                     all(ans[q2path.head.index(v)] == val for v, val in zip(atom.vars, row))
                     for ans in oracle
                 ), (atom.vars, row)
+
+
+def _random_acyclic_case(rng):
+    """A random acyclic query, a lex and a sum order, and a small instance
+    whose sum-weight columns hold ints and every other cell an int or a str.
+
+    Each atom shares a random subset of an earlier atom's variables and adds
+    fresh ones (a join forest); a relation name may come back at the same
+    arity, and a variable may repeat inside an atom. Domains are small and
+    relations hold 0-6 rows, so many rows dangle.
+    """
+    fresh = (f"V{i}" for i in range(100))
+    atoms, names = [], []
+    for _ in range(rng.randint(1, 4)):
+        arity = rng.randint(1, 3)
+        shared = []
+        if atoms:
+            pvars = sorted(set(rng.choice(atoms)))
+            shared = rng.sample(pvars, rng.randint(0, min(arity, len(pvars))))
+        vars_ = shared + [next(fresh) for _ in range(arity - len(shared))]
+        rng.shuffle(vars_)
+        if arity > 1 and rng.random() < 0.2:
+            vars_[rng.randrange(arity)] = rng.choice(vars_)
+        same = [n for n, a in zip(names, atoms) if len(a) == arity]
+        names.append(rng.choice(same) if same and rng.random() < 0.3 else f"R{len(atoms)}")
+        atoms.append(vars_)
+    all_vars = list(dict.fromkeys(v for a in atoms for v in a))
+    head = rng.sample(all_vars, rng.randint(1, len(all_vars)))
+    q = parse_query(f"Q({','.join(head)}) :- "
+                    + ", ".join(f"{n}({','.join(a)})" for n, a in zip(names, atoms)) + ".")
+
+    lex = rng.sample(head, rng.randint(1, len(head)))
+    anchor = [v for v in dict.fromkeys(rng.choice(atoms)) if v in head]
+    weights = rng.sample(anchor, rng.randint(1, len(anchor))) if anchor else []
+    orders = [parse_order("lex: " + ",".join(lex), q)]
+    if weights:
+        orders.append(parse_order("sum: " + ",".join(weights), q))
+
+    ints = {(n, i) for n, a in zip(names, atoms) for i, v in enumerate(a) if v in weights}
+    rels = {}
+    for n, a in zip(names, atoms):
+        if n not in rels:
+            rows = tuple(
+                tuple(rng.randint(0, 2) if (n, i) in ints else rng.choice((0, 1, 2, "a", "b"))
+                      for i in range(len(a)))
+                for _ in range(rng.randint(0, 6))
+            )
+            rels[n] = Relation(n, tuple(f"c{i}" for i in range(len(a))), rows)
+    return q, orders, Instance(rels)
+
+
+def test_direct_access_matches_oracle_on_random_acyclic_queries():
+    """Every routed (query, order) pair returns the oracle's tuple at every
+    rank, on instances where many rows dangle."""
+    rng = random.Random(7)
+    routed = Counter()
+    for _ in range(400):
+        q, orders, db = _random_acyclic_case(rng)
+        for o in orders:
+            if not analyze(q, o).routing[DIRECT_LEX if o.kind == "lex" else DIRECT_SUM].ok:
+                continue
+            routed[o.kind] += 1
+            ix = build_index(q, db, o)
+            want = materialize_and_sort(q, db, o)
+            assert [ix.access(k) for k in range(ix.count)] == want, (q, o, db)
+            with pytest.raises(OutOfRange):
+                ix.access(len(want))
+    assert routed["lex"] >= 200 and routed["sum"] >= 100, routed
 
 
 def test_direct_access_examples(q2path, db1):
