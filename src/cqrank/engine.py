@@ -19,8 +19,9 @@ per call. Construction happens in three steps:
    virtual head node added to the join tree. Atoms adjacent to the head node
    become weighted relations over their head variables (weight = number of
    ways to extend a projected row downward); deeper atoms keep weight 1 and
-   only constrain. The weighted natural join of these reduced relations
-   reproduces the answer bag exactly.
+   only constrain. A leaf atom whose variables are already all head
+   variables in head order passes its table through unchanged. The weighted
+   natural join of these reduced relations reproduces the answer bag exactly.
 
 3. *Candidate tables* — for a trio-free order w, each variable's preceding
    neighbors form a clique covered by some atom, so the candidates for w_i
@@ -92,8 +93,9 @@ def row_counts(bound, stats=None) -> list[dict[tuple, int]]:
 class CountingTree:
     """Bottom-up counting (Yannakakis) over a join tree of weighted tables.
 
-    ``tables[u]`` maps each distinct row over ``vars_list[u]`` to its weight;
-    a node without a table may only serve as the root of ``messages``.
+    ``tables[u]`` maps each distinct row over ``vars_list[u]`` to its
+    positive weight; a node without a table may only serve as the root of
+    ``messages``.
     Separators are keyed in one canonical variable order — the head first,
     then the other variables by first occurrence — so a message toward the
     head comes out in head order. ``fix`` narrows the tables in place; each
@@ -135,11 +137,13 @@ class CountingTree:
     def _combine(self, u, out_vars, children, msg, stats):
         """The weighted projection: Σ row weight × child messages, per value
         of ``out_vars``. Rows that some child cannot extend drop out."""
-        key = self.key(u, out_vars)
-        kids = [(self.key(u, self.separator(u, c)), msg[c]) for c in children]
         table = self.tables[u]
         if stats is not None:
             stats.rows_touched += len(table)
+        if not children and out_vars == self.vars[u]:
+            return dict(table)  # a leaf projected onto its own vars in order
+        key = self.key(u, out_vars)
+        kids = [(self.key(u, self.separator(u, c)), msg[c]) for c in children]
         out: dict[tuple, int] = {}
         for row, w in table.items():
             for kkey, m in kids:
@@ -182,6 +186,13 @@ def atom_tree(q: Query, bound, mode: str, stats=None) -> CountingTree:
 
 def build_reduced_db(q: Query, db: Instance) -> ReducedDB:
     """Stages 1 and 2: fully reduced, head-projected weighted relations."""
+    return _reduce(q, db)[1]
+
+
+def _reduce(q: Query, db: Instance) -> tuple[CountingTree, ReducedDB]:
+    """``build_reduced_db``, plus the atom counting tree over the fully
+    reduced row counts; stage 1 deletes only rows that no answer extends, so
+    that tree counts every answer as the unreduced one does."""
     ct = atom_tree(q, bound_atoms(q, db), DIRECT_LEX)
     tables, vars_list = ct.tables, list(ct.vars)
 
@@ -198,14 +209,14 @@ def build_reduced_db(q: Query, db: Instance) -> ReducedDB:
 
     # stage 2: counting messages toward a virtual head node F
     F = len(tables)
-    ct = CountingTree(vars_list + [q.head], q.head, tables, DIRECT_LEX, "not_free_connex")
-    msg, children = ct.messages(F)
+    ht = CountingTree(vars_list + [q.head], q.head, tables, DIRECT_LEX, "not_free_connex")
+    msg, children = ht.messages(F)
     reduced = []
     for u in range(F):
-        hv = ct.separator(u, F)
-        rows = msg[u] if u in children[F] else dict.fromkeys(map(ct.key(u, hv), tables[u]), 1)
+        hv = ht.separator(u, F)
+        rows = msg[u] if u in children[F] else dict.fromkeys(map(ht.key(u, hv), tables[u]), 1)
         reduced.append(ReducedAtom(hv, rows))
-    return ReducedDB(tuple(reduced))
+    return ct, ReducedDB(tuple(reduced))
 
 
 def sum_blocks(q: Query, ct: CountingTree, report: TractabilityReport, stats=None):
@@ -239,8 +250,7 @@ def _sort_values(values, stats: PreprocessStats | None):
         return sorted(values, key=value_key)
 
 
-def _build_tables(q: Query, db: Instance, order, stats: PreprocessStats | None):
-    rdb = build_reduced_db(q, db)
+def _build_tables(q: Query, rdb: ReducedDB, order, stats: PreprocessStats | None):
     vt = build_variable_tree(q, order)
     f = len(order)
     children = vt.children()
@@ -333,15 +343,18 @@ class AccessIndex:
         return self._descend([None] * len(self.order), self.count, k, 0, stats)
 
 
-def _routed_build(q: Query, db: Instance, report: TractabilityReport, mode: str,
-                  count_comparisons: bool) -> AccessIndex:
-    """The index over the completed order, if the analyzer routed ``mode``."""
+def _check_routed(report: TractabilityReport, mode: str) -> None:
     verdict = report.routing[mode]
     if not verdict.ok:
         raise NotRouted(mode, verdict.reasons)
+
+
+def _lex_index(q: Query, rdb: ReducedDB, report: TractabilityReport,
+               count_comparisons: bool) -> AccessIndex:
+    """The index over the completed order, built from the reduced relations."""
     stats = PreprocessStats() if count_comparisons else None
     order = report.completed_order
-    return AccessIndex(q, order, *_build_tables(q, db, order, stats), stats)
+    return AccessIndex(q, order, *_build_tables(q, rdb, order, stats), stats)
 
 
 def preprocess_lex(
@@ -352,7 +365,8 @@ def preprocess_lex(
     count_comparisons: bool = False,
 ) -> AccessIndex:
     """Build the ranked-access index for a routed lexicographic order."""
-    return _routed_build(q, db, report, DIRECT_LEX, count_comparisons)
+    _check_routed(report, DIRECT_LEX)
+    return _lex_index(q, build_reduced_db(q, db), report, count_comparisons)
 
 
 def direct_access(ix: AccessIndex, k: int, stats: AccessStats | None = None) -> AnswerTuple:
@@ -393,9 +407,11 @@ def preprocess_sum(
     count_comparisons: bool = False,
 ) -> SumAccessIndex:
     """Build the ranked-access index for a routed single-atom sum order."""
-    inner = _routed_build(q, db, report, DIRECT_SUM, count_comparisons)
-
-    prefix, items = sum_blocks(q, atom_tree(q, bound_atoms(q, db), DIRECT_SUM), report)
+    _check_routed(report, DIRECT_SUM)
+    ct, rdb = _reduce(q, db)
+    prefix, items = sum_blocks(q, ct, report)
+    del ct  # free its row counts before the candidate tables are built
+    inner = _lex_index(q, rdb, report, count_comparisons)
     if inner.order[:len(prefix)] != prefix:
         raise AssertionError("sum order must start with the anchor atom's head variables")
     items = sorted_counted(items, key=itemgetter(0), stats=inner.build_stats)

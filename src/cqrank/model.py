@@ -262,21 +262,37 @@ def read_utf8(path) -> str:
 
 
 def load_relation(path, name: str) -> Relation:
-    """Load a header-first CSV file (comma-separated, no quoting) in file order."""
+    """Load a header-first CSV file (comma-separated, no quoting) in file order.
+
+    When at most half of the cells are distinct, each distinct cell text is
+    parsed once and equal cells load as one shared value object; otherwise
+    each cell is parsed on its own, as a lookup table would not pay."""
     text = read_utf8(path)
     lines = text.replace("\r\n", "\n").split("\n")
+    del text
     if lines and lines[-1] == "":
         lines.pop()  # trailing newline, not an empty row
     if not lines or lines[0] == "" or any(c == "" for c in lines[0].split(",")):
         raise EmptyHeader(path)
-    columns = tuple(lines[0].split(","))
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(columns):
-            raise RaggedRow(lineno, len(cells), len(columns))
-        rows.append(tuple(parse_cell(c) for c in cells))
-    return Relation(name, columns, tuple(rows))
+    columns = tuple(lines.pop(0).split(","))
+    arity = len(columns)
+    for lineno, line in enumerate(lines, start=2):
+        if line.count(",") != arity - 1:
+            raise RaggedRow(lineno, line.count(",") + 1, arity)
+    if not lines:  # "".split(",") would read one empty cell
+        return Relation(name, columns, ())
+    cells = ",".join(lines).split(",")
+    del lines
+    parsed = dict.fromkeys(cells)
+    if 2 * len(parsed) > len(cells):
+        del parsed
+        values = map(parse_cell, cells)
+    else:
+        for c in parsed:
+            parsed[c] = parse_cell(c)
+        values = map(parsed.__getitem__, cells)
+    # one iterator zipped with itself: consecutive runs of `arity` values
+    return Relation(name, columns, tuple(zip(*[values] * arity)))
 
 
 def load_instance(data_dir, q: Query) -> Instance:

@@ -99,6 +99,57 @@ def test_reduced_db_invariants_random(q2path):
                 ), (atom.vars, row)
 
 
+def _general_combine(self, u, out_vars, children, msg, stats):
+    """``CountingTree._combine`` with no pass-through: every row is keyed."""
+    key = self.key(u, out_vars)
+    kids = [(self.key(u, self.separator(u, c)), msg[c]) for c in children]
+    out = {}
+    for row, w in self.tables[u].items():
+        for kkey, m in kids:
+            w *= m.get(kkey(row), 0)
+        if w:
+            out[key(row)] = out.get(key(row), 0) + w
+    return out
+
+
+@pytest.mark.parametrize("text,passes", [
+    ("Q(A,B,C) :- R(B,A), S(B,C).", [False, True]),  # R's columns out of head order
+    ("Q(A,B) :- R(A,A,B).", [True]),                 # repeated variable
+    ("Q(A,B) :- R(A,B), S(B,C), T(C,D).", [True, False, False]),  # projected head
+])
+def test_leaf_tables_pass_through_the_head_messages(text, passes, monkeypatch):
+    from cqrank.engine import CountingTree
+
+    q = parse_query(text)
+    real_combine, real_key = CountingTree._combine, CountingTree.key
+    keyed, passed = [0], {}
+
+    def spy_key(self, u, wanted):
+        keyed[0] += 1
+        return real_key(self, u, wanted)
+
+    def spy_combine(self, u, *args):
+        before = keyed[0]
+        out = real_combine(self, u, *args)
+        passed[u] = keyed[0] == before  # no row was keyed
+        return out
+
+    rng = random.Random(63)
+    for _ in range(10):
+        db = random_instance(q, rng, rng.randint(0, 12), 3)
+        with monkeypatch.context() as m:
+            m.setattr(CountingTree, "_combine", _general_combine)
+            want = build_reduced_db(q, db)
+        with monkeypatch.context() as m:
+            m.setattr(CountingTree, "key", spy_key)
+            m.setattr(CountingTree, "_combine", spy_combine)
+            passed.clear()
+            got = build_reduced_db(q, db)
+        assert [(a.vars, list(a.rows.items())) for a in got.atoms] == \
+            [(a.vars, list(a.rows.items())) for a in want.atoms], db
+        assert [passed.get(u, False) for u in range(len(q.atoms))] == passes
+
+
 def _random_acyclic_case(rng):
     """A random acyclic query, a lex and a sum order, and a small instance
     whose sum-weight columns hold ints and every other cell an int or a str.
@@ -307,6 +358,32 @@ def test_sum_oracle_equivalence_random(shape, orders):
             oracle = materialize_and_sort(q, db, o)
             assert ix.count == len(oracle)
             assert [ix.access(k) for k in range(ix.count)] == oracle
+
+
+def test_preprocess_sum_binds_and_counts_once(q3path, monkeypatch):
+    import cqrank.engine as engine
+
+    calls = []
+    real_bind, real_counts = engine.bound_atoms, engine.row_counts
+
+    def spy_bind(q, db):
+        calls.append("bound_atoms")
+        return real_bind(q, db)
+
+    def spy_counts(bound, stats=None):
+        calls.append("row_counts")
+        return real_counts(bound, stats)
+
+    monkeypatch.setattr(engine, "bound_atoms", spy_bind)
+    monkeypatch.setattr(engine, "row_counts", spy_counts)
+    db = random_instance(q3path, random.Random(62), 30, 4)
+    for text in ("sum: C,D", "sum: B"):
+        o = parse_order(text, q3path)
+        report = analyze(q3path, o)
+        calls.clear()
+        ix = preprocess_sum(q3path, db, report)
+        assert calls == ["bound_atoms", "row_counts"], text
+        assert [ix.access(k) for k in range(ix.count)] == materialize_and_sort(q3path, db, o)
 
 
 def test_group_prefix_sums_strictly_increase(q2path, db1):

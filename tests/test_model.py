@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqrank.errors import (
@@ -25,7 +25,9 @@ from cqrank.model import (
     format_query,
     load_relation,
     parse_order,
+    parse_cell,
     parse_query,
+    read_utf8,
     validate_instance,
     value_key,
 )
@@ -169,6 +171,90 @@ def test_load_relation_crlf_and_order_preserving(tmp_path):
     p.write_text("A,B\r\n3,1\r\n1,2\r\n3,1\r\n")
     r = load_relation(p, "T")
     assert r.rows == ((3, 1), (1, 2), (3, 1))  # file order, duplicates kept
+
+
+def _reference_load(path, name):
+    """The line-by-line loader: one ``parse_cell`` per cell."""
+    lines = read_utf8(path).replace("\r\n", "\n").split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0] == "" or any(c == "" for c in lines[0].split(",")):
+        raise EmptyHeader(path)
+    columns = tuple(lines[0].split(","))
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(columns):
+            raise RaggedRow(lineno, len(cells), len(columns))
+        rows.append(tuple(parse_cell(c) for c in cells))
+    return Relation(name, columns, tuple(rows))
+
+
+def _outcome(load, path):
+    try:
+        r = load(path, "T")
+    except (EmptyHeader, RaggedRow) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return r.columns, r.rows, [[type(v) for v in row] for row in r.rows]
+
+
+_cell = st.text(alphabet="0123456789+-ab _\u0661\u0662\r", max_size=4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+@example(data=None)  # header only, no final newline
+def test_load_relation_matches_line_by_line_reference(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    if data is None:
+        text = "A,B"
+    else:
+        arity = data.draw(st.integers(1, 3))
+        header = data.draw(st.lists(st.sampled_from(["A", "B", "c", ""]),
+                                    min_size=arity, max_size=arity))
+        # a row of another width now and then makes the file ragged
+        widths = st.one_of(st.just(arity), st.just(arity), st.just(arity), st.integers(1, 4))
+        rows = data.draw(st.lists(widths.flatmap(lambda w: st.lists(_cell, min_size=w, max_size=w)),
+                                  max_size=6))
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        lines = [",".join(header)] + [",".join(r) for r in rows]
+        text = newline.join(lines) + (newline if data.draw(st.booleans()) else "")
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_relation, path) == _outcome(_reference_load, path), repr(text)
+
+
+def test_load_relation_blank_lines_and_header_only(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("A\n\n7\n\n\n")
+    assert load_relation(p, "T").rows == (("",), (7,), ("",), ("",))
+    for text in ("A,B", "A,B\n", "A,B\r\n"):
+        p.write_text(text)
+        r = load_relation(p, "T")
+        assert (r.columns, r.rows) == (("A", "B"), ())
+
+
+def test_load_relation_integer_rule(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("A\n+5\n-0\n007\n1_000\n 12\n\u0661\u0662\n")
+    rows = [v for (v,) in load_relation(p, "T").rows]
+    assert rows == [5, 0, 7, "1_000", " 12", "\u0661\u0662"]
+    assert [type(v) for v in rows] == [int] * 3 + [str] * 3
+
+
+def test_load_relation_equal_cells_share_one_value(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("A,B\n123456,foo\n123456,123456\nfoo,bar\n")  # 3 distinct of 6 cells
+    (a, b), (c, d), (e, f) = load_relation(p, "T").rows
+    assert a is c is d
+    assert b is e
+
+
+def test_load_relation_mostly_distinct_cells(tmp_path):
+    """More than half of the cells distinct: each cell is parsed on its own."""
+    p = tmp_path / "t.csv"
+    p.write_text("A,B\n1,x\n+2,-3\n1,007\n")  # 5 distinct of 6 cells
+    assert _outcome(load_relation, p) == _outcome(_reference_load, p)
+    assert load_relation(p, "T").rows == ((1, "x"), (2, -3), (1, 7))
 
 
 def test_validate_instance(db1, q2path):
