@@ -34,7 +34,7 @@ from .baseline import (
 from .engine import preprocess_lex
 from .errors import CqError, ConfigError
 from .instrument import AccessStats
-from .model import Instance, OrderSpec, Query, Relation, parse_order, parse_query
+from .model import Instance, OrderSpec, Query, Relation, parse_order, parse_query, read_utf8
 from .selection import select_lex
 
 LARGE = "large"
@@ -205,14 +205,43 @@ class _Runner:
         return row
 
 
+# the type of each config key run_benchmark reads, at the top level or in an
+# experiment: a scalar, or a list of items of the type
+_SCALARS = {"verify_cap": int, "result_cap": int, "n": int, "seed": int,
+            "order": str, "join_size": str}
+_LISTS = {"ns": int, "seeds": int, "ks": int, "join_sizes": str, "methods": str}
+
+
+def _is(x, kind) -> bool:
+    return isinstance(x, kind) and not isinstance(x, bool)  # JSON true is no count
+
+
+def _check_config(config) -> None:
+    """Raise ``ConfigError`` unless ``config`` has the shape run_benchmark reads."""
+    if not isinstance(config, dict) or not isinstance(config.get("experiments"), list):
+        raise ConfigError("config must be an object with an 'experiments' list")
+    for obj in [config, *config["experiments"]]:
+        if not isinstance(obj, dict):
+            raise ConfigError(f"each experiment must be an object, not {obj!r}")
+        for key, kind in _SCALARS.items():
+            if key in obj and not _is(obj[key], kind):
+                raise ConfigError(f"{key!r} must be {kind.__name__}, not {obj[key]!r}")
+        for key, kind in _LISTS.items():
+            if key in obj and not (isinstance(obj[key], list)
+                                   and all(_is(x, kind) for x in obj[key])):
+                raise ConfigError(f"{key!r} must be a list of {kind.__name__}, not {obj[key]!r}")
+
+
 def run_benchmark(config) -> BenchReport:
     """Run the experiments in a config dict (or JSON file path)."""
     if isinstance(config, (str, Path)):
-        config = json.loads(Path(config).read_text(encoding="utf-8"))
-    if not isinstance(config, dict) or "experiments" not in config:
-        raise ConfigError("config must be an object with an 'experiments' list")
-    verify_cap = int(config.get("verify_cap", 200_000))
-    result_cap = int(config.get("result_cap", 5_000_000))
+        try:
+            config = json.loads(read_utf8(config))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{config} is not JSON: {exc}") from None
+    _check_config(config)
+    verify_cap = config.get("verify_cap", 200_000)
+    result_cap = config.get("result_cap", 5_000_000)
     q = bench_query()
     order = parse_order(config.get("order", "lex: A,B,C,D"), q)
 

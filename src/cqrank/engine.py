@@ -34,14 +34,22 @@ Access walks w maintaining the residual rank k' and the multiplier M of the
 still-pending subtrees: the block of answers with w_i = v has width M·g(ν,v),
 so one counting binary search per variable pins the value. Sum orders rank
 the kernel's per-anchor-row counts first and complete the rest the same way.
+
+Join keys: inside the kernel (counting messages, the stage 1 key sets, the ν
+groups and child totals of stage 3) a key over exactly one variable is the
+bare value, and a key over zero or several variables is the tuple of values
+(``_key``). Values are ``int``/``str``, never tuples, so the two kinds cannot
+collide. Everything that leaves the kernel — ``ReducedAtom.rows``,
+``count_at``, ``sum_blocks`` and the ν keys of ``AccessIndex.groups`` — is
+keyed by tuples (``_tupled``).
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress
-from operator import itemgetter, not_
+from itertools import accumulate, chain, compress, repeat
+from operator import itemgetter, mul, not_
 
 from .analysis import (
     DIRECT_LEX,
@@ -75,12 +83,36 @@ def _proj(vars_: tuple[str, ...], wanted):
     """Key function: a row over ``vars_`` -> the tuple of its ``wanted`` values.
 
     Built on ``itemgetter`` so no per-row Python frame runs; one position is
-    taken as a one-element slice so that every key is a tuple.
+    taken as a one-element slice so that every key is a tuple. This is the
+    shape of every key outside the kernel; join keys inside it use ``_key``,
+    which drops the tuple around a single value.
     """
     idx = tuple(map(vars_.index, wanted))
     if len(idx) == 1:
         return itemgetter(slice(idx[0], idx[0] + 1))
     return itemgetter(*idx) if idx else itemgetter(slice(0))
+
+
+def _key(vars_: tuple[str, ...], wanted):
+    """Join key function: the bare value when one variable is ``wanted``
+    (no 1-tuple to build and hash per row), else ``_proj``'s tuple."""
+    if len(wanted) == 1:
+        return itemgetter(vars_.index(wanted[0]))
+    return _proj(vars_, wanted)
+
+
+def _tupled(keyed: dict, width: int) -> dict:
+    """A map keyed by ``_key`` over ``width`` variables, keyed by tuples."""
+    return dict(zip(zip(keyed), keyed.values())) if width == 1 else keyed
+
+
+def _weighted(rows, weights, lookups):
+    """Per row, its weight times every ``(key, table)`` lookup's entry at the
+    row's key (0 where the table has none): one lazy stream, no per-row
+    Python frame."""
+    for key, table in lookups:
+        weights = map(mul, weights, map(table.get, map(key, rows), repeat(0)))
+    return weights
 
 
 def row_counts(bound, stats=None) -> list[dict[tuple, int]]:
@@ -118,7 +150,7 @@ class CountingTree:
         return tuple(v for v in self._canon if v in shared)
 
     def key(self, u: int, wanted):
-        return _proj(self.vars[u], wanted)
+        return _key(self.vars[u], wanted)
 
     def fix(self, var: str, value, stats=None) -> None:
         """Keep only the rows with ``var == value`` in every table holding
@@ -136,23 +168,19 @@ class CountingTree:
 
     def _combine(self, u, out_vars, children, msg, stats):
         """The weighted projection: Σ row weight × child messages, per value
-        of ``out_vars``. Rows that some child cannot extend drop out."""
+        of ``out_vars``, keyed by ``_key``. Rows that some child cannot
+        extend drop out."""
         table = self.tables[u]
         if stats is not None:
             stats.rows_touched += len(table)
-        if not children and out_vars == self.vars[u]:
+        if not children and out_vars == self.vars[u] and len(out_vars) != 1:
             return dict(table)  # a leaf projected onto its own vars in order
-        key = self.key(u, out_vars)
         kids = [(self.key(u, self.separator(u, c)), msg[c]) for c in children]
-        out: dict[tuple, int] = {}
-        for row, w in table.items():
-            for kkey, m in kids:
-                w *= m.get(kkey(row), 0)
-                if not w:
-                    break
+        out: dict = {}
+        get = out.get
+        for k, w in zip(map(self.key(u, out_vars), table), _weighted(table, table.values(), kids)):
             if w:
-                k = key(row)
-                out[k] = out.get(k, 0) + w
+                out[k] = get(k, 0) + w
         return out
 
     def messages(self, root: int, stats=None):
@@ -161,7 +189,7 @@ class CountingTree:
         separator with its parent. Also returns the rooted children lists."""
         tree = self.tree.rerooted(root)
         children = tree.children()
-        msg: dict[int, dict[tuple, int]] = {}
+        msg: dict[int, dict] = {}
         side: dict[int, frozenset] = {}
         for u in tree.postorder()[:-1]:  # the root comes last
             edge = (u, tree.parent[u])
@@ -176,7 +204,7 @@ class CountingTree:
     def count_at(self, root: int, out_vars, stats=None) -> dict[tuple, int]:
         """Answer count per value of ``out_vars`` (variables of node ``root``)."""
         msg, children = self.messages(root, stats)
-        return self._combine(root, out_vars, children[root], msg, stats)
+        return _tupled(self._combine(root, out_vars, children[root], msg, stats), len(out_vars))
 
 
 def atom_tree(q: Query, bound, mode: str, stats=None) -> CountingTree:
@@ -214,7 +242,10 @@ def _reduce(q: Query, db: Instance) -> tuple[CountingTree, ReducedDB]:
     reduced = []
     for u in range(F):
         hv = ht.separator(u, F)
-        rows = msg[u] if u in children[F] else dict.fromkeys(map(ht.key(u, hv), tables[u]), 1)
+        if u in children[F]:
+            rows = _tupled(msg[u], len(hv))
+        else:
+            rows = dict.fromkeys(map(_proj(vars_list[u], hv), tables[u]), 1)
         reduced.append(ReducedAtom(hv, rows))
     return ct, ReducedDB(tuple(reduced))
 
@@ -255,11 +286,11 @@ def _build_tables(q: Query, rdb: ReducedDB, order, stats: PreprocessStats | None
     f = len(order)
     children = vt.children()
     groups: list[dict[tuple, _Group]] = [None] * f
-    totals: list[dict[tuple, int]] = [None] * f
+    totals: list[dict] = [None] * f  # keyed by _key over ν
 
     for i in reversed(range(f)):
         anchor = rdb.atoms[vt.anchor[i]]
-        nu_of = _proj(anchor.vars, vt.nsets[i])
+        nu_of = _key(anchor.vars, vt.nsets[i])
         widx = anchor.vars.index(vt.order[i])
         # an anchor settled at w_i has vars exactly ν ∪ {w_i}: one row per
         # (ν, v), and its weight is the row's own
@@ -269,27 +300,22 @@ def _build_tables(q: Query, rdb: ReducedDB, order, stats: PreprocessStats | None
         # totals; all their vars lie in ν ∪ {w_i}, so they key off the row
         lookups = [(_proj(anchor.vars, rdb.atoms[ai].vars), rdb.atoms[ai].rows)
                    for ai in vt.assigned[i] if ai != vt.anchor[i]]
-        lookups += [(_proj(anchor.vars, vt.nsets[c]), totals[c]) for c in children[i]]
+        lookups += [(_key(anchor.vars, vt.nsets[c]), totals[c]) for c in children[i]]
 
-        weights: dict[tuple, dict] = defaultdict(dict)  # ν -> {v: g(ν, v) > 0}
-        for r, w in anchor.rows.items():
-            gv, v = weights[nu_of(r)], r[widx]
-            if v in gv:
-                continue
-            g = w if settled else 1
-            for key, m in lookups:
-                g *= m.get(key(r), 0)
-                if not g:
-                    break
+        # g depends on the row's (ν, v) alone, so a repeated pair rewrites
+        # the value it already holds
+        rows = anchor.rows
+        gs = _weighted(rows, rows.values() if settled else repeat(1), lookups)
+        weights: dict = defaultdict(dict)  # ν -> {v: g(ν, v) > 0}
+        for nu, v, g in zip(map(nu_of, rows), map(itemgetter(widx), rows), gs):
             if g:  # g = 0: the candidate never joins; unreachable after full reduction
-                gv[v] = g
+                weights[nu][v] = g
 
-        gmap: dict[tuple, _Group] = {}
+        gmap: dict = {}
         for nu, gv in weights.items():
             values = _sort_values(gv, stats)
-            if values:
-                gmap[nu] = _Group(values, list(accumulate(map(gv.__getitem__, values))))
-        groups[i] = gmap
+            gmap[nu] = _Group(values, list(accumulate(map(gv.__getitem__, values))))
+        groups[i] = _tupled(gmap, len(vt.nsets[i]))
         totals[i] = {nu: grp.cums[-1] for nu, grp in gmap.items()}
 
     count = 1

@@ -253,9 +253,12 @@ def format_order(o: OrderSpec) -> str:
 # --- loading -----------------------------------------------------------------
 
 def read_utf8(path) -> str:
-    """A file's text; if it is not UTF-8, the error's message names the file."""
+    """A file's text with its line endings as written, so a lone ``\\r``
+    stays inside its line; if it is not UTF-8, the error's message names the
+    file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         exc.reason += f" in {path}"
         raise

@@ -158,6 +158,35 @@ def test_cli_bench(tmp_path, capsys):
     assert line["rows"] == 1
 
 
+@pytest.mark.parametrize("text", [
+    '{"experiments": [',                                           # not JSON
+    '{"experiments": [{"id": "A", "ns": "x"}]}',                   # not a list
+    '{"experiments": [{"id": "C", "ns": [40], "seeds": [1.5]}]}',  # not ints
+    '{"experiments": [{"id": "B", "n": true}]}',
+    '{"experiments": [7]}',
+    '{"experiments": {"id": "A"}}',
+    '{"verify_cap": "many", "experiments": []}',
+    '[]',
+])
+def test_cli_bench_bad_config_is_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(text, encoding="utf-8")
+    rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "report.csv")])
+    assert rc == 1
+    (line,) = _lines(capsys)
+    assert line["error"] == "config_error"
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_cli_bench_config_not_utf8_is_io_error(tmp_path, capsys):
+    cfg = tmp_path / "bench.json"
+    cfg.write_bytes(b'{"experiments": [], "order": "lex: \xff"}')
+    rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "report.csv")])
+    assert rc == 1
+    (line,) = _lines(capsys)
+    assert line["error"] == "io_error" and "bench.json" in line["detail"]
+
+
 def test_cli_bad_query_file(tmp_path, capsys):
     bad = tmp_path / "bad.cq"
     bad.write_text("Q(A,Z) :- R(A,B).")

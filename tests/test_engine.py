@@ -538,3 +538,96 @@ def test_counting_tree_reuses_messages_whose_side_kept_its_rows(q3path, monkeypa
     ct.fix("A", 2)
     assert ct.count_at(R, ("B",)) == {(1,): 1, (2,): 2}
     assert sorted(combined) == [R, S]
+
+
+def _kernel_outputs(q, db, orders):
+    """What the kernel hands out: reduced relations, ``count_at`` at every
+    node over every single variable, all its variables and none, and each
+    routed order's index tables, sum blocks and anchor values."""
+    from cqrank.analysis import SINGLE_SUM
+    from cqrank.engine import atom_tree, sum_blocks
+    from cqrank.model import bound_atoms
+
+    out = {"reduced": [(a.vars, list(a.rows.items())) for a in build_reduced_db(q, db).atoms]}
+    ct = atom_tree(q, bound_atoms(q, db), SINGLE_SUM)
+    outs = [(v,) for vs in ct.vars for v in vs] + [tuple(dict.fromkeys(vs)) for vs in ct.vars] + [()]
+    out["count_at"] = [(u, w, list(ct.count_at(u, w).items()))
+                       for u, vs in enumerate(ct.vars) for w in outs if set(w) <= set(vs)]
+    for o in orders:
+        report = analyze(q, o)
+        if not report.routing[DIRECT_LEX if o.kind == "lex" else DIRECT_SUM].ok:
+            continue
+        ix = build_index(q, db, o)
+        if o.kind == "sum":
+            blocks = sum_blocks(q, atom_tree(q, bound_atoms(q, db), DIRECT_SUM), report)
+            out[o, "sum"] = (blocks, ix.anchor_vals, ix.cums, ix.prefix_len)
+            ix = ix.inner
+        out[o] = (ix.count, ix.vtree.nsets,
+                  [[(nu, g.values, g.cums) for nu, g in gm.items()] for gm in ix.groups])
+    return out
+
+
+def _tuple_key_reference(monkeypatch, q, db, orders):
+    """``_kernel_outputs`` with every join key a tuple: ``_key`` is ``_proj``,
+    nothing is re-keyed, and ``_general_combine`` keys every row, so no leaf
+    passes through."""
+    from cqrank import engine
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_key", engine._proj)
+        m.setattr(engine, "_tupled", lambda keyed, width: keyed)
+        m.setattr(engine.CountingTree, "_combine", _general_combine)
+        return _kernel_outputs(q, db, orders)
+
+
+def _assert_tuple_keyed(out):
+    """Every key that leaves the kernel is a tuple over its variables."""
+    assert all(type(k) is tuple and len(k) == len(vars_)
+               for vars_, rows in out["reduced"] for k, _ in rows)
+    assert all(type(k) is tuple and len(k) == len(w) for _, w, counts in out["count_at"]
+               for k, _ in counts)
+    for key, val in out.items():
+        if isinstance(key, tuple) and key[1:] == ("sum",):
+            (prefix, items), anchor_vals, _, prefix_len = val
+            assert len(prefix) == prefix_len
+            assert all(type(p) is tuple and len(p) == prefix_len
+                       for p in [p for (_, p), _ in items] + anchor_vals)
+        elif key not in ("reduced", "count_at"):
+            _, nsets, groups = val
+            assert all(type(nu) is tuple and len(nu) == len(nsets[i])
+                       for i, gm in enumerate(groups) for nu, *_ in gm)
+
+
+@pytest.mark.parametrize("text,orders", [
+    ("Q(A) :- R(A).", ["lex: A"]),                      # a one-variable leaf is its own output
+    ("Q(A) :- R(A,A).", ["lex: A", "sum: A"]),          # a repeated variable binds one
+    ("Q(A) :- R(A,B), S(B).", ["lex: A", "sum: A"]),    # unary head; one-variable anchor prefix
+    ("Q(A,B) :- R(A), S(A,B).", ["lex: A,B", "lex: B,A", "sum: A"]),
+    ("Q(A,B) :- R(A,B), S(B).", ["lex: B,A", "sum: A,B"]),
+    ("Q(A,B,C) :- R(A,B), S(B,C), T(C).", ["lex: A,B,C", "lex: C", "sum: B"]),
+])
+def test_bare_keys_match_the_tuple_key_reference(text, orders, monkeypatch):
+    """Keying one-variable joins by the bare value changes no count, group or
+    block, and every key that leaves the kernel is still a tuple."""
+    q = parse_query(text)
+    orders = [parse_order(o, q) for o in orders]
+    rng = random.Random(91)
+    for _ in range(12):
+        db = random_instance(q, rng, rng.randint(0, 8), 3)
+        want = _tuple_key_reference(monkeypatch, q, db, orders)
+        got = _kernel_outputs(q, db, orders)
+        assert got == want, db
+        _assert_tuple_keyed(got)
+        assert all(o in got for o in orders), "every order is routed"
+
+
+def test_bare_keys_match_the_tuple_key_reference_on_random_acyclic_queries(monkeypatch):
+    rng = random.Random(17)
+    for _ in range(150):
+        q, orders, db = _random_acyclic_case(rng)
+        if not analyze(q, orders[0]).free_connex:
+            continue
+        want = _tuple_key_reference(monkeypatch, q, db, orders)
+        got = _kernel_outputs(q, db, orders)
+        assert got == want, (q, orders, db)
+        _assert_tuple_keyed(got)

@@ -173,6 +173,15 @@ def test_load_relation_crlf_and_order_preserving(tmp_path):
     assert r.rows == ((3, 1), (1, 2), (3, 1))  # file order, duplicates kept
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_load_relation_lone_cr_stays_in_its_cell(tmp_path, newline):
+    """Only ``\\n`` and ``\\r\\n`` end a line; a lone ``\\r`` is cell text."""
+    p = tmp_path / "t.csv"
+    p.write_bytes(f"A{newline}1\r2{newline}".encode())
+    r = load_relation(p, "T")
+    assert (r.columns, r.rows) == (("A",), (("1\r2",),))
+
+
 def _reference_load(path, name):
     """The line-by-line loader: one ``parse_cell`` per cell."""
     lines = read_utf8(path).replace("\r\n", "\n").split("\n")
