@@ -106,15 +106,6 @@ def _tupled(keyed: dict, width: int) -> dict:
     return dict(zip(zip(keyed), keyed.values())) if width == 1 else keyed
 
 
-def _weighted(rows, weights, lookups):
-    """Per row, its weight times every ``(key, table)`` lookup's entry at the
-    row's key (0 where the table has none): one lazy stream, no per-row
-    Python frame."""
-    for key, table in lookups:
-        weights = map(mul, weights, map(table.get, map(key, rows), repeat(0)))
-    return weights
-
-
 def row_counts(bound, stats=None) -> list[dict[tuple, int]]:
     """Each atom's distinct rows with their multiplicities."""
     if stats is not None:
@@ -175,10 +166,13 @@ class CountingTree:
             stats.rows_touched += len(table)
         if not children and out_vars == self.vars[u] and len(out_vars) != 1:
             return dict(table)  # a leaf projected onto its own vars in order
-        kids = [(self.key(u, self.separator(u, c)), msg[c]) for c in children]
+        weights = table.values()
+        for c in children:  # one lazy product stream per child: no per-row Python frame
+            kkey, m = self.key(u, self.separator(u, c)), msg[c]
+            weights = map(mul, weights, map(m.get, map(kkey, table), repeat(0)))
         out: dict = {}
         get = out.get
-        for k, w in zip(map(self.key(u, out_vars), table), _weighted(table, table.values(), kids)):
+        for k, w in zip(map(self.key(u, out_vars), table), weights):
             if w:
                 out[k] = get(k, 0) + w
         return out
@@ -201,10 +195,15 @@ class CountingTree:
             side[u], msg[u] = hit
         return msg, children
 
-    def count_at(self, root: int, out_vars, stats=None) -> dict[tuple, int]:
-        """Answer count per value of ``out_vars`` (variables of node ``root``)."""
+    def counts(self, root: int, out_vars, stats=None) -> dict:
+        """Answer count per value of ``out_vars`` (variables of node
+        ``root``), keyed by ``_key``."""
         msg, children = self.messages(root, stats)
-        return _tupled(self._combine(root, out_vars, children[root], msg, stats), len(out_vars))
+        return self._combine(root, out_vars, children[root], msg, stats)
+
+    def count_at(self, root: int, out_vars, stats=None) -> dict[tuple, int]:
+        """``counts`` keyed by tuples."""
+        return _tupled(self.counts(root, out_vars, stats), len(out_vars))
 
 
 def atom_tree(q: Query, bound, mode: str, stats=None) -> CountingTree:
@@ -302,19 +301,24 @@ def _build_tables(q: Query, rdb: ReducedDB, order, stats: PreprocessStats | None
                    for ai in vt.assigned[i] if ai != vt.anchor[i]]
         lookups += [(_key(anchor.vars, vt.nsets[c]), totals[c]) for c in children[i]]
 
-        # g depends on the row's (ν, v) alone, so a repeated pair rewrites
-        # the value it already holds
-        rows = anchor.rows
-        gs = _weighted(rows, rows.values() if settled else repeat(1), lookups)
         weights: dict = defaultdict(dict)  # ν -> {v: g(ν, v) > 0}
-        for nu, v, g in zip(map(nu_of, rows), map(itemgetter(widx), rows), gs):
+        for r, w in anchor.rows.items():
+            gv, v = weights[nu_of(r)], r[widx]
+            if v in gv:
+                continue
+            g = w if settled else 1
+            for key, m in lookups:
+                g *= m.get(key(r), 0)
+                if not g:
+                    break
             if g:  # g = 0: the candidate never joins; unreachable after full reduction
-                weights[nu][v] = g
+                gv[v] = g
 
         gmap: dict = {}
         for nu, gv in weights.items():
             values = _sort_values(gv, stats)
-            gmap[nu] = _Group(values, list(accumulate(map(gv.__getitem__, values))))
+            if values:
+                gmap[nu] = _Group(values, list(accumulate(map(gv.__getitem__, values))))
         groups[i] = _tupled(gmap, len(vt.nsets[i]))
         totals[i] = {nu: grp.cums[-1] for nu, grp in gmap.items()}
 

@@ -25,7 +25,7 @@ from .model import AnswerTuple, Instance, OrderSpec, Query, bound_atoms, value_k
 
 def _value_counts(ct: CountingTree, x: str, stats) -> list[tuple]:
     root = next(u for u, vs in enumerate(ct.vars) if x in vs)
-    return [(v, w) for (v,), w in ct.count_at(root, (x,), stats).items()]
+    return list(ct.counts(root, (x,), stats).items())
 
 
 def conditional_value_counts(

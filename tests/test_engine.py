@@ -598,6 +598,19 @@ def _assert_tuple_keyed(out):
                        for i, gm in enumerate(groups) for nu, *_ in gm)
 
 
+def _assert_counts_match_count_at(q, db):
+    """``counts`` over one variable is ``count_at`` keyed by the bare value."""
+    from cqrank.analysis import SINGLE_LEX
+    from cqrank.engine import atom_tree
+    from cqrank.model import bound_atoms
+
+    ct = atom_tree(q, bound_atoms(q, db), SINGLE_LEX)
+    for u, vs in enumerate(ct.vars):
+        for x in vs:
+            want = {v: c for (v,), c in ct.count_at(u, (x,)).items()}
+            assert ct.counts(u, (x,)) == want
+
+
 @pytest.mark.parametrize("text,orders", [
     ("Q(A) :- R(A).", ["lex: A"]),                      # a one-variable leaf is its own output
     ("Q(A) :- R(A,A).", ["lex: A", "sum: A"]),          # a repeated variable binds one
@@ -618,6 +631,7 @@ def test_bare_keys_match_the_tuple_key_reference(text, orders, monkeypatch):
         got = _kernel_outputs(q, db, orders)
         assert got == want, db
         _assert_tuple_keyed(got)
+        _assert_counts_match_count_at(q, db)
         assert all(o in got for o in orders), "every order is routed"
 
 
@@ -631,3 +645,4 @@ def test_bare_keys_match_the_tuple_key_reference_on_random_acyclic_queries(monke
         got = _kernel_outputs(q, db, orders)
         assert got == want, (q, orders, db)
         _assert_tuple_keyed(got)
+        _assert_counts_match_count_at(q, db)
