@@ -28,7 +28,7 @@ from .errors import (
     OutOfRange,
     ResultTooLarge,
 )
-from .model import LEX, AnswerTuple, Instance, OrderSpec, Query, bound_atoms, value_key
+from .model import LEX, AnswerTuple, Instance, OrderSpec, Query, _no_gc, bound_atoms, value_key
 
 FULL_SORT = "FullSort"
 TOPK_HEAP = "TopKHeap"
@@ -87,6 +87,7 @@ def sort_key_fn(q: Query, o: OrderSpec):
     )
 
 
+@_no_gc()
 def materialize_and_sort(q: Query, db: Instance, o: OrderSpec, cap: int = 10**8):
     """Produce and sort the full answer bag; THE oracle for every other path."""
     out = []

@@ -32,7 +32,7 @@ from .baseline import (
     topk_heap_access,
 )
 from .engine import preprocess_lex
-from .errors import CqError, ConfigError
+from .errors import CqError, ConfigError, OutOfRange
 from .instrument import AccessStats
 from .model import Instance, OrderSpec, Query, Relation, parse_order, parse_query, read_utf8
 from .selection import select_lex
@@ -184,6 +184,8 @@ class _Runner:
                 t0 = time.perf_counter()
                 ordered = materialize_and_sort(self.q, self.db, self.order, cap=self.result_cap)
                 row["access_ms"] = row["wall_ms"] = _ms(t0, time.perf_counter())
+                if not 0 <= k < len(ordered):
+                    raise OutOfRange(k, len(ordered))
                 ans = ordered[k]
             elif method == "topk-heap":
                 t0 = time.perf_counter()

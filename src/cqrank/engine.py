@@ -26,9 +26,11 @@ per call. Construction happens in three steps:
 3. *Candidate tables* — for a trio-free order w, each variable's preceding
    neighbors form a clique covered by some atom, so the candidates for w_i
    given an assignment of those neighbors are a slice of that anchor atom.
-   Bottom-up, one pass over the anchor's rows groups the candidates by ν
-   and tabulates g(ν, v) = (weights of atoms settled at w_i) × (child
-   subtree totals); each group's values are sorted alone and prefix-summed.
+   Bottom-up, the anchor is cut to its distinct (ν, v) pairs (an anchor
+   settled at w_i already has one row per pair), and one pass over the
+   pairs groups the candidates by ν and tabulates g(ν, v) = (weights of
+   atoms settled at w_i) × (child subtree totals); each group's values are
+   sorted alone and prefix-summed.
 
 Access walks w maintaining the residual rank k' and the multiplier M of the
 still-pending subtrees: the block of answers with w_i = v has width M·g(ν,v),
@@ -63,7 +65,7 @@ from .analysis import (
 )
 from .errors import NotRouted, OutOfRange
 from .instrument import AccessStats, PreprocessStats, bisect_gt, sorted_counted
-from .model import AnswerTuple, Instance, Query, bound_atoms, tuple_key, value_key
+from .model import AnswerTuple, Instance, Query, _no_gc, bound_atoms, tuple_key, value_key
 
 
 @dataclass(frozen=True)
@@ -289,30 +291,31 @@ def _build_tables(q: Query, rdb: ReducedDB, order, stats: PreprocessStats | None
 
     for i in reversed(range(f)):
         anchor = rdb.atoms[vt.anchor[i]]
-        nu_of = _key(anchor.vars, vt.nsets[i])
-        widx = anchor.vars.index(vt.order[i])
-        # an anchor settled at w_i has vars exactly ν ∪ {w_i}: one row per
-        # (ν, v), and its weight is the row's own
-        settled = vt.anchor[i] in vt.assigned[i]
+        if vt.anchor[i] in vt.assigned[i]:
+            # an anchor settled at w_i has vars exactly ν ∪ {w_i}: one row
+            # per (ν, v), and its weight is the row's own
+            pvars, pairs = anchor.vars, anchor.rows
+        else:  # its distinct (ν, v) pairs, in first-occurrence order, weight 1
+            pvars = vt.nsets[i] + (vt.order[i],)
+            pairs = dict.fromkeys(map(_proj(anchor.vars, pvars), anchor.rows), 1)
+        nu_of = _key(pvars, vt.nsets[i])
+        widx = pvars.index(vt.order[i])
 
         # weights of the other atoms settled at w_i, then the child subtree
-        # totals; all their vars lie in ν ∪ {w_i}, so they key off the row
-        lookups = [(_proj(anchor.vars, rdb.atoms[ai].vars), rdb.atoms[ai].rows)
+        # totals; all their vars lie in ν ∪ {w_i}, so they key off the pair
+        lookups = [(_proj(pvars, rdb.atoms[ai].vars), rdb.atoms[ai].rows)
                    for ai in vt.assigned[i] if ai != vt.anchor[i]]
-        lookups += [(_key(anchor.vars, vt.nsets[c]), totals[c]) for c in children[i]]
+        lookups += [(_key(pvars, vt.nsets[c]), totals[c]) for c in children[i]]
 
         weights: dict = defaultdict(dict)  # ν -> {v: g(ν, v) > 0}
-        for r, w in anchor.rows.items():
-            gv, v = weights[nu_of(r)], r[widx]
-            if v in gv:
-                continue
-            g = w if settled else 1
+        for r, g in pairs.items():
+            gv = weights[nu_of(r)]
             for key, m in lookups:
                 g *= m.get(key(r), 0)
                 if not g:
                     break
             if g:  # g = 0: the candidate never joins; unreachable after full reduction
-                gv[v] = g
+                gv[r[widx]] = g
 
         gmap: dict = {}
         for nu, gv in weights.items():
@@ -387,6 +390,7 @@ def _lex_index(q: Query, rdb: ReducedDB, report: TractabilityReport,
     return AccessIndex(q, order, *_build_tables(q, rdb, order, stats), stats)
 
 
+@_no_gc()
 def preprocess_lex(
     q: Query,
     db: Instance,
@@ -429,6 +433,7 @@ class SumAccessIndex:
         return self.inner._descend(vals, self.cums[j] - before, k - before, self.prefix_len, stats)
 
 
+@_no_gc()
 def preprocess_sum(
     q: Query,
     db: Instance,

@@ -8,8 +8,11 @@ order as a sort key, since Python refuses ``int < str`` directly.
 
 from __future__ import annotations
 
+import gc
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .errors import (
@@ -56,11 +59,12 @@ class Relation:
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        rows = tuple(map(tuple, self.rows))
+        object.__setattr__(self, "rows", rows)
         arity = len(self.columns)
-        for r in self.rows:
-            if len(r) != arity:
-                raise ArityMismatch(self.name, len(r), arity)
+        if set(map(len, rows)) - {arity}:
+            bad = next(r for r in rows if len(r) != arity)
+            raise ArityMismatch(self.name, len(bad), arity)
 
     @property
     def arity(self) -> int:
@@ -252,6 +256,25 @@ def format_order(o: OrderSpec) -> str:
 
 # --- loading -----------------------------------------------------------------
 
+@contextmanager
+def _no_gc():
+    """Pause the cyclic garbage collector for a bulk build, and turn it back
+    on afterwards only if it was on before.
+
+    Loading and preprocessing allocate millions of tuples and dicts of ints
+    and strs, none of them part of a reference cycle, so the collector's
+    passes over them find nothing to free; reference counting still frees
+    every object as usual. The collector's switch is process-wide: a thread
+    that leaves this block turns it back on for every thread."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
+
+
 def read_utf8(path) -> str:
     """A file's text with its line endings as written, so a lone ``\\r``
     stays inside its line; if it is not UTF-8, the error's message names the
@@ -279,9 +302,10 @@ def load_relation(path, name: str) -> Relation:
         raise EmptyHeader(path)
     columns = tuple(lines.pop(0).split(","))
     arity = len(columns)
-    for lineno, line in enumerate(lines, start=2):
-        if line.count(",") != arity - 1:
-            raise RaggedRow(lineno, line.count(",") + 1, arity)
+    commas = list(map(str.count, lines, repeat(",")))
+    if commas.count(arity - 1) != len(commas):
+        i = next(i for i, c in enumerate(commas) if c != arity - 1)
+        raise RaggedRow(i + 2, commas[i] + 1, arity)  # line 1 is the header
     if not lines:  # "".split(",") would read one empty cell
         return Relation(name, columns, ())
     cells = ",".join(lines).split(",")
@@ -298,6 +322,7 @@ def load_relation(path, name: str) -> Relation:
     return Relation(name, columns, tuple(zip(*[values] * arity)))
 
 
+@_no_gc()
 def load_instance(data_dir, q: Query) -> Instance:
     """Load ``<name>.csv`` from ``data_dir`` for every relation the query names."""
     data_dir = Path(data_dir)

@@ -109,6 +109,19 @@ def test_run_benchmark_config_errors():
         ]})
 
 
+
+def test_full_sort_rejects_positions_outside_the_answers():
+    """``full-sort`` reports a k outside [0, count) as OutOfRange, as the
+    other methods do, rather than indexing from the end."""
+    methods = ["full-sort", "da", "topk-heap", "sa"]
+    count = run_benchmark({"experiments": [
+        {"id": "B", "n": 40, "ks": [0], "methods": ["da"]}]}).rows[0]["answers"]
+    report = run_benchmark({"experiments": [
+        {"id": "B", "n": 40, "ks": [-1, count], "methods": methods}]})
+    assert [(r["method"], r["k"], r.get("error")) for r in report.rows] == \
+        [(m, k, "OutOfRange") for k in (-1, count) for m in methods]
+    assert not any("verified" in r for r in report.rows)
+
 def test_bench_query_shape():
     q = bench_query()
     assert q.head == ("A", "B", "C", "D")

@@ -646,3 +646,106 @@ def test_bare_keys_match_the_tuple_key_reference_on_random_acyclic_queries(monke
         assert got == want, (q, orders, db)
         _assert_tuple_keyed(got)
         _assert_counts_match_count_at(q, db)
+
+
+def _row_loop_build_tables(q, rdb, order, stats):
+    """``engine._build_tables`` as it was before the distinct (ν, v) pairs:
+    one pass over every anchor row, skipping a (ν, v) pair already seen."""
+    from collections import defaultdict
+    from itertools import accumulate
+
+    from cqrank.analysis import build_variable_tree
+    from cqrank.engine import _Group, _key, _proj, _sort_values, _tupled
+
+    vt = build_variable_tree(q, order)
+    f = len(order)
+    children = vt.children()
+    groups, totals = [None] * f, [None] * f
+    for i in reversed(range(f)):
+        anchor = rdb.atoms[vt.anchor[i]]
+        nu_of = _key(anchor.vars, vt.nsets[i])
+        widx = anchor.vars.index(vt.order[i])
+        settled = vt.anchor[i] in vt.assigned[i]
+        lookups = [(_proj(anchor.vars, rdb.atoms[ai].vars), rdb.atoms[ai].rows)
+                   for ai in vt.assigned[i] if ai != vt.anchor[i]]
+        lookups += [(_key(anchor.vars, vt.nsets[c]), totals[c]) for c in children[i]]
+        weights = defaultdict(dict)
+        for r, w in anchor.rows.items():
+            gv, v = weights[nu_of(r)], r[widx]
+            if v in gv:
+                continue
+            g = w if settled else 1
+            for key, m in lookups:
+                g *= m.get(key(r), 0)
+                if not g:
+                    break
+            if g:
+                gv[v] = g
+        gmap = {}
+        for nu, gv in weights.items():
+            values = _sort_values(gv, stats)
+            if values:
+                gmap[nu] = _Group(values, list(accumulate(map(gv.__getitem__, values))))
+        groups[i] = _tupled(gmap, len(vt.nsets[i]))
+        totals[i] = {nu: grp.cums[-1] for nu, grp in gmap.items()}
+    count = 1
+    for ai in vt.scalar_atoms:
+        count *= rdb.atoms[ai].rows.get((), 0)
+    for r in vt.roots():
+        count *= totals[r].get((), 0)
+    return vt, groups, count
+
+
+def _tables_outcome(build, q, rdb, order):
+    """A build's groups with their values and prefix sums, its count, and the
+    comparisons a counted build of the same tables makes."""
+    from cqrank.instrument import PreprocessStats
+
+    _, groups, count = build(q, rdb, order, None)
+    stats = PreprocessStats()
+    build(q, rdb, order, stats)
+    return ([[(nu, g.values, g.cums) for nu, g in gm.items()] for gm in groups],
+            count, stats.comparisons)
+
+
+def _unsettled_anchors(q, order):
+    """How many variables of ``order`` take their candidates from an anchor
+    atom that has variables beyond ν ∪ {w_i}."""
+    from cqrank.analysis import build_variable_tree
+
+    vt = build_variable_tree(q, order)
+    return sum(vt.anchor[i] not in vt.assigned[i] for i in range(len(order)))
+
+
+def test_distinct_pair_tables_match_the_row_loop():
+    """Candidate tables built from each anchor's distinct (ν, v) pairs equal
+    the row-by-row loop's: the same groups, values, prefix sums, count and
+    counted comparisons."""
+    from cqrank.analysis import build_variable_tree
+    from cqrank.engine import _build_tables
+
+    rng = random.Random(29)
+    unsettled = 0
+    for _ in range(300):
+        q, orders, db = _random_acyclic_case(rng)
+        for o in orders:
+            report = analyze(q, o)
+            if not report.routing[DIRECT_LEX if o.kind == "lex" else DIRECT_SUM].ok:
+                continue
+            rdb, order = build_reduced_db(q, db), report.completed_order
+            assert _tables_outcome(_build_tables, q, rdb, order) == \
+                _tables_outcome(_row_loop_build_tables, q, rdb, order), (q, o, db)
+            unsettled += _unsettled_anchors(q, order)
+    assert unsettled >= 100, unsettled
+
+    # a partial order whose first variable's anchor is not settled there:
+    # R(A,B) has several rows per value of A
+    q = parse_query("Q(A,B) :- R(A,B), S(B,C).")
+    report = analyze(q, parse_order("lex: A", q))
+    vt = build_variable_tree(q, report.completed_order)
+    assert vt.nsets[0] == () and vt.anchor[0] not in vt.assigned[0]
+    for _ in range(20):
+        db = random_instance(q, rng, rng.randint(0, 40), 4)
+        rdb = build_reduced_db(q, db)
+        got = _tables_outcome(_build_tables, q, rdb, report.completed_order)
+        assert got == _tables_outcome(_row_loop_build_tables, q, rdb, report.completed_order), db

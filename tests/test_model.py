@@ -166,6 +166,12 @@ def test_load_relation_empty_header(tmp_path):
         load_relation(p, "T")
 
 
+
+def test_relation_arity_mismatch_names_the_first_bad_row():
+    with pytest.raises(ArityMismatch) as e:
+        Relation("R", ("A", "B"), ((1, 2), (1,), (1, 2, 3)))
+    assert str(e.value) == "arity mismatch for 'R': got 1, expected 2"
+
 def test_load_relation_crlf_and_order_preserving(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("A,B\r\n3,1\r\n1,2\r\n3,1\r\n")

@@ -33,3 +33,26 @@ def test_package_imports_only_the_stdlib():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names | {"cqrank"}]
     assert len(modules) > 5 and found == []
+
+
+def test_only_the_pause_helper_switches_the_collector():
+    """The collector's switch is process-wide, so only ``model._no_gc``,
+    which puts it back as it found it, may turn it off or on."""
+    modules = sorted(Path(cqrank.__file__).resolve().parent.rglob("*.py"))
+    inside, outside = 0, []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) == ("model.py", "_no_gc")
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("disable", "enable")
+                    and isinstance(node.value, ast.Name) and node.value.id == "gc"):
+                if id(node) in helper:
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "gc"
+                  or isinstance(node, ast.Import) and any(a.name == "gc" and a.asname for a in node.names)):
+                outside.append(f"{path.name}:{node.lineno} import")  # would hide a call from this check
+    assert inside == 2 and outside == []
