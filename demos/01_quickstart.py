@@ -27,4 +27,4 @@ assert [index.access(k) for k in range(index.count)] == oracle
 print("matches the materialize-and-sort oracle at every position")
 
 # counting is O(1) off the index, no enumeration involved
-print("answer_count:", cq.answer_count(index))
+print("answer count:", index.count)

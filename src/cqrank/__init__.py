@@ -7,7 +7,6 @@ for one-off ranks; baseline strategies and SQL encodings for comparison.
 """
 
 from .analysis import (
-    Hypergraph,
     TractabilityReport,
     analyze,
     check_free_connex,
@@ -26,12 +25,8 @@ from .baseline import (
 from .bench import GenConfig, generate_instance, run_benchmark
 from .engine import (
     AccessIndex,
-    SumAccessIndex,
-    answer_count,
     build_index,
     build_reduced_db,
-    direct_access,
-    direct_access_sum,
     preprocess_lex,
     preprocess_sum,
 )
@@ -73,7 +68,6 @@ __all__ = [
     "Atom",
     "CqError",
     "GenConfig",
-    "Hypergraph",
     "Instance",
     "KOutOfRange",
     "NotApplicable",
@@ -83,17 +77,13 @@ __all__ = [
     "Query",
     "Relation",
     "ResultTooLarge",
-    "SumAccessIndex",
     "TractabilityReport",
     "analyze",
-    "answer_count",
     "build_index",
     "build_reduced_db",
     "check_free_connex",
     "complete_order",
     "conditional_value_counts",
-    "direct_access",
-    "direct_access_sum",
     "effective_order",
     "emit_sql",
     "find_disruptive_trio",

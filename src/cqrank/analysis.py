@@ -30,25 +30,6 @@ BASELINE_ONLY = "BaselineOnly"
 
 
 @dataclass(frozen=True)
-class Hypergraph:
-    edges: tuple[frozenset[str], ...]
-
-    @classmethod
-    def of_query(cls, q: Query, include_head: bool = False) -> "Hypergraph":
-        edges = [a.var_set for a in q.atoms]
-        if include_head:
-            edges.append(q.head_set)
-        return cls(tuple(edges))
-
-    @property
-    def vertices(self) -> frozenset[str]:
-        out = set()
-        for e in self.edges:
-            out.update(e)
-        return frozenset(out)
-
-
-@dataclass(frozen=True)
 class JoinTree:
     """One node per input edge; ``parent[root] is None``. GYO links empty
     residues across connected components, so an acyclic hypergraph always
@@ -64,10 +45,6 @@ class JoinTree:
             if p is not None:
                 ch[p].append(i)
         return ch
-
-    def separator(self, i: int) -> frozenset[str]:
-        p = self.parent[i]
-        return frozenset() if p is None else self.node_vars[i] & self.node_vars[p]
 
     def postorder(self) -> list[int]:
         ch = self.children()
@@ -149,10 +126,10 @@ def gyo_join_tree(edges) -> JoinTree | Cyclic:
 
 def check_free_connex(q: Query) -> tuple[bool, bool]:
     """(acyclic, free_connex): GYO over the atoms, then over atoms + head edge."""
-    acyclic = isinstance(gyo_join_tree(Hypergraph.of_query(q).edges), JoinTree)
-    if not acyclic:
+    edges = [a.var_set for a in q.atoms]
+    if not isinstance(gyo_join_tree(edges), JoinTree):
         return False, False
-    extended = gyo_join_tree(Hypergraph.of_query(q, include_head=True).edges)
+    extended = gyo_join_tree(edges + [q.head_set])
     return True, isinstance(extended, JoinTree)
 
 

@@ -28,7 +28,8 @@ from .errors import (
     OutOfRange,
     ResultTooLarge,
 )
-from .model import LEX, AnswerTuple, Instance, OrderSpec, Query, _no_gc, bound_atoms, value_key
+from .model import (LEX, SUM, AnswerTuple, Instance, OrderSpec, Query, _no_gc, bound_atoms,
+                    check_weight_columns, value_key)
 
 FULL_SORT = "FullSort"
 TOPK_HEAP = "TopKHeap"
@@ -90,6 +91,8 @@ def sort_key_fn(q: Query, o: OrderSpec):
 @_no_gc()
 def materialize_and_sort(q: Query, db: Instance, o: OrderSpec, cap: int = 10**8):
     """Produce and sort the full answer bag; THE oracle for every other path."""
+    if o.kind == SUM:
+        check_weight_columns(q, db, o)
     out = []
     for t in stream_answers(q, db):
         out.append(t)
@@ -116,6 +119,8 @@ def topk_heap_access(q: Query, db: Instance, o: OrderSpec, k: int, cap: int = 10
     """Bounded-heap access, with the planner's switch to a full sort once
     k ≥ |J|/2; the exact count comes from a pre-pass (we control both sides).
     Returns (answer, StrategyLog)."""
+    if o.kind == SUM:
+        check_weight_columns(q, db, o)
     count = sum(1 for _ in stream_answers(q, db))
     if k < 0 or k >= count:
         raise OutOfRange(k, count)

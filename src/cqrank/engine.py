@@ -34,8 +34,9 @@ per call. Construction happens in three steps:
 
 Access walks w maintaining the residual rank k' and the multiplier M of the
 still-pending subtrees: the block of answers with w_i = v has width M·g(ν,v),
-so one counting binary search per variable pins the value. Sum orders rank
-the kernel's per-anchor-row counts first and complete the rest the same way.
+so one counting binary search per variable pins the value. A single-atom sum
+order is blocks on the same index: the sum anchor's assignments, ranked by
+(weight sum, values), form one first level, and the descent completes each.
 
 Join keys: inside the kernel (counting messages, the stage 1 key sets, the ν
 groups and child totals of stage 3) a key over exactly one variable is the
@@ -65,7 +66,8 @@ from .analysis import (
 )
 from .errors import NotRouted, OutOfRange
 from .instrument import AccessStats, PreprocessStats, bisect_gt, sorted_counted
-from .model import AnswerTuple, Instance, Query, _no_gc, bound_atoms, tuple_key, value_key
+from .model import (AnswerTuple, Instance, Query, _no_gc, bound_atoms, check_weight_columns,
+                    tuple_key, value_key)
 
 
 @dataclass(frozen=True)
@@ -335,8 +337,11 @@ def _build_tables(q: Query, rdb: ReducedDB, order, stats: PreprocessStats | None
 
 @dataclass
 class AccessIndex:
-    """Immutable after construction; ``access``/``count`` are read-only and
-    safe for concurrent callers (per-call stats objects, no shared state)."""
+    """The sorted answer array of a routed lex or single-atom sum order. A sum
+    order's blocks are one more first level: the anchor assignments
+    ``anchor_vals`` in (weight sum, values) order, with running answer counts
+    ``cums`` (both empty for a lex order). Immutable after construction;
+    ``access``/``count`` are safe for concurrent callers (per-call stats)."""
 
     query: Query
     order: tuple[str, ...]
@@ -344,6 +349,8 @@ class AccessIndex:
     groups: list[dict[tuple, _Group]]
     count: int
     build_stats: PreprocessStats | None  # set on builds that count comparisons
+    anchor_vals: list[tuple] = field(default_factory=list)
+    cums: list[int] = field(default_factory=list)
     _npos: list[tuple[int, ...]] = field(default_factory=list)
     _head_pick: tuple[int, ...] = ()
 
@@ -373,7 +380,14 @@ class AccessIndex:
     def access(self, k: int, stats: AccessStats | None = None) -> AnswerTuple:
         if k < 0 or k >= self.count:
             raise OutOfRange(k, self.count)
-        return self._descend([None] * len(self.order), self.count, k, 0, stats)
+        vals, C, start = [None] * len(self.order), self.count, 0
+        if self.cums:  # pin the sum order's block first
+            j = bisect_gt(self.cums, k, stats)
+            before = self.cums[j - 1] if j else 0
+            start = len(self.anchor_vals[j])
+            vals[:start] = self.anchor_vals[j]
+            C, k = self.cums[j] - before, k - before
+        return self._descend(vals, C, k, start, stats)
 
 
 def _check_routed(report: TractabilityReport, mode: str) -> None:
@@ -382,92 +396,45 @@ def _check_routed(report: TractabilityReport, mode: str) -> None:
         raise NotRouted(mode, verdict.reasons)
 
 
-def _lex_index(q: Query, rdb: ReducedDB, report: TractabilityReport,
-               count_comparisons: bool) -> AccessIndex:
-    """The index over the completed order, built from the reduced relations."""
+def _preprocess(q: Query, db: Instance, report: TractabilityReport, mode: str,
+                count_comparisons: bool) -> AccessIndex:
+    """The index over the completed order; for ``DIRECT_SUM``, with the sum
+    anchor's blocks sorted by (weight sum, values) as its first level."""
+    _check_routed(report, mode)
+    if mode == DIRECT_SUM:
+        check_weight_columns(q, db, report.order)
+    ct, rdb = _reduce(q, db)
+    prefix, items = sum_blocks(q, ct, report) if mode == DIRECT_SUM else ((), [])
+    del ct  # free its row counts before the candidate tables are built
     stats = PreprocessStats() if count_comparisons else None
     order = report.completed_order
-    return AccessIndex(q, order, *_build_tables(q, rdb, order, stats), stats)
-
-
-@_no_gc()
-def preprocess_lex(
-    q: Query,
-    db: Instance,
-    report: TractabilityReport,
-    *,
-    count_comparisons: bool = False,
-) -> AccessIndex:
-    """Build the ranked-access index for a routed lexicographic order."""
-    _check_routed(report, DIRECT_LEX)
-    return _lex_index(q, build_reduced_db(q, db), report, count_comparisons)
-
-
-def direct_access(ix: AccessIndex, k: int, stats: AccessStats | None = None) -> AnswerTuple:
-    return ix.access(k, stats)
-
-
-def answer_count(ix) -> int:
-    """Total number of answers, O(1) off the root totals."""
-    return ix.count
-
-
-@dataclass
-class SumAccessIndex:
-    """Anchor rows ordered by (weight sum, anchor values); ranked completion
-    of the remaining variables rides the nested lexicographic index."""
-
-    inner: AccessIndex
-    anchor_vals: list[tuple]
-    cums: list[int]
-    prefix_len: int
-    count: int
-    build_stats: PreprocessStats | None  # set on builds that count comparisons
-
-    def access(self, k: int, stats: AccessStats | None = None) -> AnswerTuple:
-        if k < 0 or k >= self.count:
-            raise OutOfRange(k, self.count)
-        j = bisect_gt(self.cums, k, stats)
-        before = self.cums[j - 1] if j else 0
-        vals = list(self.anchor_vals[j]) + [None] * (len(self.inner.order) - self.prefix_len)
-        return self.inner._descend(vals, self.cums[j] - before, k - before, self.prefix_len, stats)
-
-
-@_no_gc()
-def preprocess_sum(
-    q: Query,
-    db: Instance,
-    report: TractabilityReport,
-    *,
-    count_comparisons: bool = False,
-) -> SumAccessIndex:
-    """Build the ranked-access index for a routed single-atom sum order."""
-    _check_routed(report, DIRECT_SUM)
-    ct, rdb = _reduce(q, db)
-    prefix, items = sum_blocks(q, ct, report)
-    del ct  # free its row counts before the candidate tables are built
-    inner = _lex_index(q, rdb, report, count_comparisons)
-    if inner.order[:len(prefix)] != prefix:
+    vt, groups, count = _build_tables(q, rdb, order, stats)
+    items = sorted_counted(items, key=itemgetter(0), stats=stats)
+    cums = list(accumulate(map(itemgetter(1), items)))
+    if order[:len(prefix)] != prefix:
         raise AssertionError("sum order must start with the anchor atom's head variables")
-    items = sorted_counted(items, key=itemgetter(0), stats=inner.build_stats)
-
-    cums, anchor_vals = [], []
-    running = 0
-    for (_, rvals), ext in items:
-        running += ext
-        cums.append(running)
-        anchor_vals.append(rvals)
-    if running != inner.count:
+    if mode == DIRECT_SUM and (cums[-1] if cums else 0) != count:
         raise AssertionError("anchor extension counts must add up to the answer count")
-    return SumAccessIndex(inner, anchor_vals, cums, len(prefix), inner.count, inner.build_stats)
+    anchor_vals = [vals for (_, vals), _ in items]
+    return AccessIndex(q, order, vt, groups, count, stats, anchor_vals, cums)
 
 
-def direct_access_sum(ix: SumAccessIndex, k: int, stats: AccessStats | None = None) -> AnswerTuple:
-    return ix.access(k, stats)
+@_no_gc()
+def preprocess_lex(q: Query, db: Instance, report: TractabilityReport, *,
+                   count_comparisons: bool = False) -> AccessIndex:
+    """Build the ranked-access index for a routed lexicographic order."""
+    return _preprocess(q, db, report, DIRECT_LEX, count_comparisons)
 
 
-def build_index(q: Query, db: Instance, o, *, count_comparisons: bool = False):
-    """Convenience: analyze and build whichever index the order kind needs."""
+@_no_gc()
+def preprocess_sum(q: Query, db: Instance, report: TractabilityReport, *,
+                   count_comparisons: bool = False) -> AccessIndex:
+    """Build the ranked-access index for a routed single-atom sum order."""
+    return _preprocess(q, db, report, DIRECT_SUM, count_comparisons)
+
+
+def build_index(q: Query, db: Instance, o, *, count_comparisons: bool = False) -> AccessIndex:
+    """Convenience: analyze and build the index for either order kind."""
     report = analyze(q, o)
     if o.kind == "lex":
         return preprocess_lex(q, db, report, count_comparisons=count_comparisons)

@@ -13,6 +13,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import (
@@ -115,9 +116,6 @@ class OrderSpec:
         object.__setattr__(self, "vars", tuple(self.vars))
         if self.kind not in (LEX, SUM):
             raise ValueError(f"unknown order kind {self.kind!r}")
-
-    def is_full(self, q: Query) -> bool:
-        return self.kind == LEX and len(self.vars) == len(q.head)
 
 
 @dataclass(frozen=True)
@@ -333,19 +331,29 @@ def load_instance(data_dir, q: Query) -> Instance:
     return Instance(relations)
 
 
+def _relation(db: Instance, a: Atom) -> Relation:
+    """The relation atom ``a`` names, checked to have one column per variable."""
+    rel = db.get(a.relation)
+    if rel.arity != len(a.vars):
+        raise ArityMismatch(a.relation, len(a.vars), rel.arity)
+    return rel
+
+
+def check_weight_columns(q: Query, db: Instance, order: OrderSpec) -> None:
+    """Check that every column a sum order's weight variable binds holds ints."""
+    for a in q.atoms:
+        rows = _relation(db, a).rows
+        for pos, v in enumerate(a.vars):
+            if v in order.vars and not all(map(isinstance, map(itemgetter(pos), rows), repeat(int))):
+                raise NonNumericWeightColumn(v, a.relation)
+
+
 def validate_instance(q: Query, db: Instance, order: OrderSpec | None = None) -> None:
     """Check atom resolution, arity, and (for sum orders) integer weight columns."""
     for a in q.atoms:
-        rel = db.get(a.relation)
-        if rel.arity != len(a.vars):
-            raise ArityMismatch(a.relation, len(a.vars), rel.arity)
+        _relation(db, a)
     if order is not None and order.kind == SUM:
-        weight = set(order.vars)
-        for a in q.atoms:
-            rel = db.relations[a.relation]
-            for pos, v in enumerate(a.vars):
-                if v in weight and any(not isinstance(r[pos], int) for r in rel.rows):
-                    raise NonNumericWeightColumn(v, a.relation)
+        check_weight_columns(q, db, order)
 
 
 # --- bound atoms --------------------------------------------------------------
@@ -356,17 +364,14 @@ class BoundAtom:
     and then collapsed, so ``vars`` has no duplicates (first-occurrence order).
     Duplicate rows stay distinct tuples (bag semantics)."""
 
-    index: int
     vars: tuple[str, ...]
     rows: tuple[tuple[Value, ...], ...]
 
 
 def bound_atoms(q: Query, db: Instance) -> list[BoundAtom]:
     out = []
-    for i, a in enumerate(q.atoms):
-        rel = db.get(a.relation)
-        if rel.arity != len(a.vars):
-            raise ArityMismatch(a.relation, len(a.vars), rel.arity)
+    for a in q.atoms:
+        rel = _relation(db, a)
         first = {}
         for pos, v in enumerate(a.vars):
             first.setdefault(v, []).append(pos)
@@ -380,5 +385,5 @@ def bound_atoms(q: Query, db: Instance) -> list[BoundAtom]:
             )
         else:
             rows = rel.rows
-        out.append(BoundAtom(i, tuple(first.keys()), rows))
+        out.append(BoundAtom(tuple(first.keys()), rows))
     return out

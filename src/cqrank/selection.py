@@ -17,10 +17,10 @@ from __future__ import annotations
 import random
 
 from .analysis import SINGLE_LEX, SINGLE_SUM, analyze
-from .engine import CountingTree, atom_tree, sum_blocks
-from .errors import KOutOfRange, NotRouted, OutOfRange
+from .engine import CountingTree, _check_routed, atom_tree, sum_blocks
+from .errors import KOutOfRange, OutOfRange
 from .instrument import SelectStats
-from .model import AnswerTuple, Instance, OrderSpec, Query, bound_atoms, value_key
+from .model import AnswerTuple, Instance, OrderSpec, Query, bound_atoms, check_weight_columns, value_key
 
 
 def _value_counts(ct: CountingTree, x: str, stats) -> list[tuple]:
@@ -45,14 +45,12 @@ def conditional_value_counts(
     return _value_counts(ct, x, stats)
 
 
-def weighted_select(items, k: int, rng=None, key=None):
+def weighted_select(items, k: int, rng, key=None):
     """Value whose block (ordering items by value) contains rank k, plus the
     offset of k inside that block. Random-pivot partitioning, no sorting."""
     total = sum(w for _, w in items)
     if k < 0 or k >= total:
         raise KOutOfRange(k, total)
-    if rng is None:
-        rng = random.Random()
     keyf = key if key is not None else value_key
     work = list(items)
     while True:
@@ -94,9 +92,7 @@ def select_lex(
     """
     if report is None:
         report = analyze(q, order)
-    verdict = report.routing[SINGLE_LEX]
-    if not verdict.ok:
-        raise NotRouted(SINGLE_LEX, verdict.reasons)
+    _check_routed(report, SINGLE_LEX)
     rng = random.Random(seed)
     ct = atom_tree(q, bound_atoms(q, db), SINGLE_LEX, stats)
     fixed: dict = {}
@@ -124,9 +120,8 @@ def select_sum(
     """k-th answer under a single-atom sum order, expected O(n) per call."""
     if report is None:
         report = analyze(q, order)
-    verdict = report.routing[SINGLE_SUM]
-    if not verdict.ok:
-        raise NotRouted(SINGLE_SUM, verdict.reasons)
+    _check_routed(report, SINGLE_SUM)
+    check_weight_columns(q, db, report.order)
     rng = random.Random(seed)
     ct = atom_tree(q, bound_atoms(q, db), SINGLE_SUM, stats)
     prefix, items = sum_blocks(q, ct, report, stats)

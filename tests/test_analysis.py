@@ -56,7 +56,7 @@ def test_gyo_triangle_cyclic():
 def test_gyo_three_edge_path_separators():
     t = gyo_join_tree([frozenset("AB"), frozenset("BC"), frozenset("CD")])
     assert isinstance(t, JoinTree)
-    seps = {t.separator(i) for i in range(3) if t.parent[i] is not None}
+    seps = {t.node_vars[i] & t.node_vars[p] for i, p in enumerate(t.parent) if p is not None}
     assert seps == {frozenset("B"), frozenset("C")}
 
 
@@ -226,13 +226,14 @@ def test_variable_tree_rejects_trio_order(q2path):
 
 
 def test_hypergraph_of_query(qproj):
-    from cqrank.analysis import Hypergraph
-
-    h = Hypergraph.of_query(qproj)
-    assert h.edges == (frozenset("AB"), frozenset("BC"))
-    assert h.vertices == frozenset("ABC")
-    hh = Hypergraph.of_query(qproj, include_head=True)
-    assert hh.edges[-1] == frozenset("AC")
+    # the hypergraphs check_free_connex runs GYO on: the atoms, then the atoms and the head
+    edges = [a.var_set for a in qproj.atoms]
+    assert edges == [frozenset("AB"), frozenset("BC")]
+    assert frozenset().union(*edges) == frozenset("ABC")
+    assert qproj.head_set == frozenset("AC")
+    assert isinstance(gyo_join_tree(edges), JoinTree)
+    assert isinstance(gyo_join_tree(edges + [qproj.head_set]), Cyclic)
+    assert check_free_connex(qproj) == (True, False)
 
 
 @pytest.mark.parametrize("order_text,completed,tie_break", [

@@ -15,8 +15,6 @@ from cqrank.baseline import materialize_and_sort
 from cqrank.engine import (
     build_index,
     build_reduced_db,
-    direct_access,
-    direct_access_sum,
     preprocess_lex,
     preprocess_sum,
 )
@@ -320,6 +318,9 @@ def test_sum_single_atom_example():
     ix = preprocess_sum(q, db, analyze(q, o))
     got = [ix.access(k).values for k in range(ix.count)]
     assert got == [(2, 2), (3, 1), (1, 5)]  # sums 4,4,6; ties by tuple
+    assert ix.access(0).values == (2, 2)
+    # the anchor covers every head variable, so the descent runs zero levels
+    assert ix.anchor_vals == [(2, 2), (3, 1), (1, 5)] and ix.cums == [1, 2, 3]
     with pytest.raises(OutOfRange):
         ix.access(3)
 
@@ -408,16 +409,19 @@ def test_probe_bound(q3path):
 
 
 def test_concurrent_access_consistency(q2path, db1):
-    ix, o = _lex_index(q2path, db1, "lex: A,B,C")
-    expected = [ix.access(k) for k in range(ix.count)]
+    indexes = [build_index(q2path, db1, parse_order(text, q2path))
+               for text in ("lex: A,B,C", "sum: B,C")]
+    assert indexes[1].cums  # the sum index reads its block level too
+    expected = [[ix.access(k) for k in range(ix.count)] for ix in indexes]
     errors = []
 
     def worker():
         try:
             for _ in range(200):
-                for k in range(ix.count):
-                    if ix.access(k) != expected[k]:
-                        errors.append(k)
+                for ix, want in zip(indexes, expected):
+                    for k in range(ix.count):
+                        if ix.access(k) != want[k]:
+                            errors.append(k)
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
@@ -429,24 +433,15 @@ def test_concurrent_access_consistency(q2path, db1):
     assert not errors
 
 
-def test_module_level_wrappers(q2path, db1):
-    ix, _ = _lex_index(q2path, db1, "lex: A,B,C")
-    from cqrank.engine import answer_count
-    assert answer_count(ix) == 4
-    assert direct_access(ix, 1) == ix.access(1)
-    q = parse_query("Q(A,B) :- R(A,B).")
-    db = Instance({"R": Relation("R", ("A", "B"), ((1, 5), (2, 2), (3, 1)))})
-    sx = preprocess_sum(q, db, analyze(q, parse_order("sum: A,B", q)))
-    assert direct_access_sum(sx, 0).values == (2, 2)
-
-
 def test_build_index_dispatches_by_order_kind(q2path, db1):
-    from cqrank.engine import AccessIndex, SumAccessIndex, build_index
+    from cqrank.engine import AccessIndex
 
     ix = build_index(q2path, db1, parse_order("lex: A,B,C", q2path))
     assert isinstance(ix, AccessIndex) and ix.count == 4
+    assert ix.anchor_vals == [] and ix.cums == []
     sx = build_index(q2path, db1, parse_order("sum: B,C", q2path))
-    assert isinstance(sx, SumAccessIndex) and sx.count == 4
+    assert isinstance(sx, AccessIndex) and sx.count == 4
+    assert sx.cums[-1] == sx.count and len(sx.anchor_vals) == len(sx.cums)
 
 
 _OPTIMIZED_CHECKS = '''
@@ -560,8 +555,7 @@ def _kernel_outputs(q, db, orders):
         ix = build_index(q, db, o)
         if o.kind == "sum":
             blocks = sum_blocks(q, atom_tree(q, bound_atoms(q, db), DIRECT_SUM), report)
-            out[o, "sum"] = (blocks, ix.anchor_vals, ix.cums, ix.prefix_len)
-            ix = ix.inner
+            out[o, "sum"] = (blocks, ix.anchor_vals, ix.cums)
         out[o] = (ix.count, ix.vtree.nsets,
                   [[(nu, g.values, g.cums) for nu, g in gm.items()] for gm in ix.groups])
     return out
@@ -588,9 +582,8 @@ def _assert_tuple_keyed(out):
                for k, _ in counts)
     for key, val in out.items():
         if isinstance(key, tuple) and key[1:] == ("sum",):
-            (prefix, items), anchor_vals, _, prefix_len = val
-            assert len(prefix) == prefix_len
-            assert all(type(p) is tuple and len(p) == prefix_len
+            (prefix, items), anchor_vals, _ = val
+            assert all(type(p) is tuple and len(p) == len(prefix)
                        for p in [p for (_, p), _ in items] + anchor_vals)
         elif key not in ("reduced", "count_at"):
             _, nsets, groups = val

@@ -71,9 +71,9 @@ def test_parse_syntax_errors_carry_position(bad):
 def test_parse_order_full_and_partial():
     q = parse_query("Q(A,B,C) :- R(A,B), S(B,C).")
     full = parse_order("lex: A,B,C", q)
-    assert full.kind == "lex" and full.is_full(q)
+    assert full.kind == "lex" and len(full.vars) == len(q.head)
     part = parse_order("lex: A", q)
-    assert not part.is_full(q)
+    assert part.kind == "lex" and len(part.vars) < len(q.head)
     s = parse_order("sum: B,C", q)
     assert s.kind == "sum" and s.vars == ("B", "C")
 
@@ -293,6 +293,51 @@ def test_validate_weight_columns(q2path):
     with pytest.raises(NonNumericWeightColumn):
         validate_instance(q2path, db, o)
     validate_instance(q2path, db, parse_order("sum: B,C", q2path))
+
+
+def _string_weights():
+    q = parse_query("Q(A,B) :- R(A,B).")
+    return q, Instance({"R": Relation("R", ("A", "B"), ((1, "x"), (2, "y")))})
+
+
+@pytest.mark.parametrize("entry", [
+    "preprocess_sum", "build_index", "select_sum", "materialize_and_sort", "topk_heap_access",
+])
+def test_sum_entry_points_reject_a_string_weight_column(entry):
+    """Without ``validate_instance`` first, a str weight must still come out
+    as a ``CqError``, not as the ``TypeError`` of adding an int to a str."""
+    from cqrank import analyze, build_index, materialize_and_sort, preprocess_sum, select_sum
+    from cqrank import topk_heap_access
+
+    q, db = _string_weights()
+    o = parse_order("sum: A,B", q)
+    call = {
+        "preprocess_sum": lambda: preprocess_sum(q, db, analyze(q, o)),
+        "build_index": lambda: build_index(q, db, o),
+        "select_sum": lambda: select_sum(q, db, o, 0, seed=1),
+        "materialize_and_sort": lambda: materialize_and_sort(q, db, o),
+        "topk_heap_access": lambda: topk_heap_access(q, db, o, 0),
+    }[entry]
+    with pytest.raises(NonNumericWeightColumn) as e:
+        call()
+    assert (e.value.var, e.value.relation) == ("B", "R")
+
+
+def test_lex_orders_skip_the_weight_check(monkeypatch):
+    from cqrank import baseline, engine, selection
+
+    def forbidden(*args):
+        raise AssertionError("a lex order checked weight columns")
+
+    for module in (engine, selection, baseline):
+        monkeypatch.setattr(module, "check_weight_columns", forbidden)
+    q, db = _string_weights()
+    o = parse_order("lex: B,A", q)
+    want = [(1, "x"), (2, "y")]
+    assert [a.values for a in baseline.materialize_and_sort(q, db, o)] == want
+    assert [engine.build_index(q, db, o).access(k).values for k in range(2)] == want
+    assert [selection.select_lex(q, db, o, k).values for k in range(2)] == want
+    assert baseline.topk_heap_access(q, db, o, 0)[0].values == want[0]
 
 
 def test_answer_tuple():

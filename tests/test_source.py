@@ -2,6 +2,8 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 import cqrank
 
 
@@ -56,3 +58,20 @@ def test_only_the_pause_helper_switches_the_collector():
                   or isinstance(node, ast.Import) and any(a.name == "gc" and a.asname for a in node.names)):
                 outside.append(f"{path.name}:{node.lineno} import")  # would hide a call from this check
     assert inside == 2 and outside == []
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in cqrank.__all__ if not hasattr(cqrank, name)]
+    assert len(cqrank.__all__) > 30 and missing == []
+
+
+def test_package_parses_as_python_3_10():
+    """``pyproject.toml`` claims Python 3.10, so no module may use later syntax."""
+    modules = sorted(Path(cqrank.__file__).resolve().parent.rglob("*.py"))
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+    newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"  # 3.11 syntax
+    ast.parse(newer)
+    with pytest.raises(SyntaxError):
+        ast.parse(newer, feature_version=(3, 10))
+    assert len(modules) > 5
