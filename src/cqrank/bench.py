@@ -3,7 +3,7 @@
 Experiments (desk scale, machine-readable reports):
 
 * ``A`` — median access time vs. relation size for direct access, single
-  access, and full sort, under the full lexicographic order.
+  access, and full sort, under the config's lex or sum order.
 * ``B`` — access time vs. position k at a fixed size, adding the bounded-heap
   and sort-before-join baselines (the latter under the single-attribute
   order it requires).
@@ -23,19 +23,20 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
-from .analysis import analyze
+from .analysis import DIRECT_LEX, DIRECT_SUM, analyze
 from .baseline import (
     materialize_and_sort,
     sort_before_join_access,
     topk_heap_access,
 )
-from .engine import preprocess_lex
-from .errors import CqError, ConfigError, OutOfRange
+from .engine import _check_routed, preprocess_lex, preprocess_sum
+from .errors import CqError, ConfigError, NotRouted, OutOfRange
 from .instrument import AccessStats
 from .model import Instance, OrderSpec, Query, Relation, parse_order, parse_query, read_utf8
-from .selection import select_lex
+from .selection import conditional_value_counts, select_lex, select_sum
 
 LARGE = "large"
 SMALL = "small"
@@ -137,13 +138,19 @@ class _Runner:
         self.report = analyze(q, order)
         self.verify_cap = verify_cap
         self.result_cap = result_cap
-        t0 = time.perf_counter()
-        self.index = preprocess_lex(q, db, self.report)
-        self.preprocess_ms = _ms(t0, time.perf_counter())
-        # counted in a build of its own, so the counting sort key stays out of preprocess_ms
-        counted = preprocess_lex(q, db, self.report, count_comparisons=True)
-        self.comparisons = counted.build_stats.comparisons
-        self.count = self.index.count
+        lex = order.kind == "lex"
+        preprocess, self.select = (preprocess_lex, select_lex) if lex else (preprocess_sum, select_sum)
+        self.da_mode = DIRECT_LEX if lex else DIRECT_SUM
+        try:
+            t0 = time.perf_counter()
+            self.index = preprocess(q, db, self.report)
+            self.preprocess_ms = _ms(t0, time.perf_counter())
+            # counted in a build of its own, so the counting sort key stays out of preprocess_ms
+            counted = preprocess(q, db, self.report, count_comparisons=True)
+            self.comparisons, self.count = counted.build_stats.comparisons, self.index.count
+        except NotRouted:  # each `da` row records its own; the other methods still run
+            self.index = None
+            self.count = sum(c for _, c in conditional_value_counts(q, db, {}, q.head[0]))
         self._oracle = None
 
     def oracle(self):
@@ -165,6 +172,7 @@ class _Runner:
                      "order": f"{self.order.kind}:{','.join(self.order.vars)}"}
         try:
             if method == "da":
+                _check_routed(self.report, self.da_mode)
                 stats = AccessStats()
                 self.index.access(k, stats)  # warm-up, discarded
                 stats = AccessStats()
@@ -176,9 +184,9 @@ class _Runner:
                 row["probes"] = stats.probes
                 row["comparisons"] = self.comparisons
             elif method == "sa":
-                select_lex(self.q, self.db, self.order, k, seed=0, report=self.report)
+                self.select(self.q, self.db, self.order, k, seed=0, report=self.report)
                 t0 = time.perf_counter()
-                ans = select_lex(self.q, self.db, self.order, k, seed=0, report=self.report)
+                ans = self.select(self.q, self.db, self.order, k, seed=0, report=self.report)
                 row["access_ms"] = row["wall_ms"] = _ms(t0, time.perf_counter())
             elif method == "full-sort":
                 t0 = time.perf_counter()
@@ -256,21 +264,23 @@ def run_benchmark(config) -> BenchReport:
             if m not in KNOWN_METHODS:
                 raise ConfigError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
 
+    def cells(exp, seeds):
+        """Each (n, join size, seed) of an A or C experiment, its runner and median k."""
+        for n, js, seed in product(exp.get("ns", [1000, 10000]),
+                                   exp.get("join_sizes", [LARGE, SMALL]), exp.get("seeds", seeds)):
+            runner = _Runner(q, generate_instance(GenConfig(n, js, seed)), order, verify_cap, result_cap)
+            yield n, js, seed, runner, (runner.count - 1) // 2 if runner.count else 0
+
     rows: list[dict] = []
     for exp in config["experiments"]:
         eid = exp.get("id")
         if eid == "A":
             methods = exp.get("methods", ["da", "sa", "full-sort"])
-            for n in exp.get("ns", [1000, 10000]):
-                for js in exp.get("join_sizes", [LARGE, SMALL]):
-                    for seed in exp.get("seeds", [1]):
-                        runner = _Runner(q, generate_instance(GenConfig(n, js, seed)),
-                                         order, verify_cap, result_cap)
-                        k = (runner.count - 1) // 2 if runner.count else 0
-                        for m in methods:
-                            row = runner.run(m, k)
-                            row.update(experiment="A", n=n, join_size=js, seed=seed)
-                            rows.append(row)
+            for n, js, seed, runner, k in cells(exp, [1]):
+                for m in methods:
+                    row = runner.run(m, k)
+                    row.update(experiment="A", n=n, join_size=js, seed=seed)
+                    rows.append(row)
         elif eid == "B":
             n = exp.get("n", 10000)
             js = exp.get("join_size", LARGE)
@@ -292,25 +302,20 @@ def run_benchmark(config) -> BenchReport:
                     row.update(experiment="B", n=n, join_size=js, seed=seed)
                     rows.append(row)
         elif eid == "C":
-            for n in exp.get("ns", [1000, 10000]):
-                for js in exp.get("join_sizes", [LARGE, SMALL]):
-                    for seed in exp.get("seeds", [1, 2, 3, 4, 5, 6]):
-                        runner = _Runner(q, generate_instance(GenConfig(n, js, seed)),
-                                         order, verify_cap, result_cap)
-                        k = (runner.count - 1) // 2 if runner.count else 0
-                        da = runner.run("da", k)
-                        sa = runner.run("sa", k)
-                        ratio = None
-                        if "error" not in da and "error" not in sa and sa["wall_ms"]:
-                            ratio = round(da["wall_ms"] / sa["wall_ms"], 4)
-                        rows.append({
-                            "experiment": "C", "method": "da_over_sa", "n": n, "k": k,
-                            "join_size": js, "seed": seed, "order": da["order"],
-                            "answers": runner.count, "preprocess_ms": da.get("preprocess_ms"),
-                            "access_ms": da.get("access_ms"), "wall_ms": sa.get("wall_ms"),
-                            "ratio": ratio, "verified": da.get("verified"),
-                            "error": da.get("error") or sa.get("error"),
-                        })
+            for n, js, seed, runner, k in cells(exp, [1, 2, 3, 4, 5, 6]):
+                da = runner.run("da", k)
+                sa = runner.run("sa", k)
+                ratio = None
+                if "error" not in da and "error" not in sa and sa["wall_ms"]:
+                    ratio = round(da["wall_ms"] / sa["wall_ms"], 4)
+                rows.append({
+                    "experiment": "C", "method": "da_over_sa", "n": n, "k": k,
+                    "join_size": js, "seed": seed, "order": da["order"],
+                    "answers": runner.count, "preprocess_ms": da.get("preprocess_ms"),
+                    "access_ms": da.get("access_ms"), "wall_ms": sa.get("wall_ms"),
+                    "ratio": ratio, "verified": da.get("verified"),
+                    "error": da.get("error") or sa.get("error"),
+                })
         else:
             raise ConfigError(f"unknown experiment id {eid!r}")
     return BenchReport(rows)

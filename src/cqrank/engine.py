@@ -2,35 +2,38 @@
 
 The index simulates the sorted array of answers without materializing it.
 Every count below, and every count that selection takes, comes from one
-counting kernel: ``row_counts`` collapses each atom's duplicate rows into
-per-row counts (answers are a bag, so those counts flow through everything),
-and ``CountingTree`` walks a join tree bottom-up with one weighted-projection
-loop (row count × child messages, summed per projected value), then
+counting kernel: ``CountingTree`` holds each atom's rows as a bag (the
+relation's own tuple, every row weighing 1, so counts live only in the
+messages) and walks a join tree bottom-up with one weighted-projection loop
+(child messages multiplied per row, summed per projected value), then
 ``count_at`` combines the messages at the chosen root. ``fix`` narrows the
-tree's tables to one value of a variable; each directed message is kept and
+tree's bags to one value of a variable; each directed message is kept and
 reused until a ``fix`` drops rows on its side, so selection makes one tree
 per call. Construction happens in three steps:
 
 1. *Full reduction* — semi-join passes over the directed edges of a join tree
    of the atoms (up, then down), so every surviving row takes part in at
-   least one answer. Each pass deletes its dangling rows in place.
+   least one answer. A pass that drops rows replaces the bag by a list; a
+   bag's key set over a separator is built once and kept until the bag
+   loses rows.
 
 2. *Existential elimination* — the kernel's counting messages toward a
    virtual head node added to the join tree. Atoms adjacent to the head node
    become weighted relations over their head variables (weight = number of
    ways to extend a projected row downward); deeper atoms keep weight 1 and
-   only constrain. A leaf atom whose variables are already all head
-   variables in head order passes its table through unchanged. The weighted
+   only constrain. A leaf of that tree is its bag counted per head
+   assignment, a count left to the first read of its ``rows``. The weighted
    natural join of these reduced relations reproduces the answer bag exactly.
 
 3. *Candidate tables* — for a trio-free order w, each variable's preceding
    neighbors form a clique covered by some atom, so the candidates for w_i
    given an assignment of those neighbors are a slice of that anchor atom.
-   Bottom-up, the anchor is cut to its distinct (ν, v) pairs (an anchor
-   settled at w_i already has one row per pair), and one pass over the
-   pairs groups the candidates by ν and tabulates g(ν, v) = (weights of
-   atoms settled at w_i) × (child subtree totals); each group's values are
-   sorted alone and prefix-summed.
+   Bottom-up, one pass splits the anchor's rows per ν: a leaf's bag, each
+   group counted per value (so a leaf's count over all its rows never
+   runs), or an inner atom's weighted rows; an anchor not settled at w_i
+   keeps its distinct (ν, v) pairs at weight 1. Each group's values are
+   sorted alone, and g(ν, v) = (that weight) × (weights of the other atoms
+   settled at w_i) × (child subtree totals) is prefix-summed in that order.
 
 Access walks w maintaining the residual rank k' and the multiplier M of the
 still-pending subtrees: the block of answers with w_i = v has width M·g(ν,v),
@@ -49,10 +52,11 @@ keyed by tuples (``_tupled``).
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, compress, repeat
-from operator import itemgetter, mul, not_
+from operator import itemgetter, mul, setitem
 
 from .analysis import (
     DIRECT_LEX,
@@ -70,12 +74,22 @@ from .model import (AnswerTuple, Instance, Query, _no_gc, bound_atoms, check_wei
                     tuple_key, value_key)
 
 
-@dataclass(frozen=True)
 class ReducedAtom:
-    """Weighted relation over one atom's head variables (head order)."""
+    """Weighted relation over one atom's head variables (head order). ``rows``
+    may be a ``Counter``, a ``dict`` that every lookup reads with ``.get``.
+    A leaf ``u`` of the head tree (``leaf = (tree, u)``) counts its bag
+    ``tree.tables[u]`` into ``rows`` on the first read; the candidate tables
+    split that bag without it."""
 
-    vars: tuple[str, ...]
-    rows: dict[tuple, int]
+    def __init__(self, vars_: tuple[str, ...], rows: dict | None = None, leaf=None):
+        self.vars, self.leaf = vars_, leaf
+        if rows is not None:
+            self.rows = rows
+
+    @cached_property
+    def rows(self) -> dict[tuple, int]:
+        tree, u = self.leaf
+        return _tupled(tree._combine(u, self.vars, (), {}, None), len(self.vars))
 
 
 @dataclass(frozen=True)
@@ -110,19 +124,12 @@ def _tupled(keyed: dict, width: int) -> dict:
     return dict(zip(zip(keyed), keyed.values())) if width == 1 else keyed
 
 
-def row_counts(bound, stats=None) -> list[dict[tuple, int]]:
-    """Each atom's distinct rows with their multiplicities."""
-    if stats is not None:
-        stats.rows_touched += sum(len(b.rows) for b in bound)
-    return [Counter(b.rows) for b in bound]
-
-
 class CountingTree:
-    """Bottom-up counting (Yannakakis) over a join tree of weighted tables.
+    """Bottom-up counting (Yannakakis) over a join tree of bags.
 
-    ``tables[u]`` maps each distinct row over ``vars_list[u]`` to its
-    positive weight; a node without a table may only serve as the root of
-    ``messages``.
+    ``tables[u]`` is the bag of rows over ``vars_list[u]``, each row weighing
+    1; it is never mutated, only replaced. A node without a table may only
+    serve as the root of ``messages``.
     Separators are keyed in one canonical variable order — the head first,
     then the other variables by first occurrence — so a message toward the
     head comes out in head order. ``fix`` narrows the tables in place; each
@@ -156,24 +163,24 @@ class CountingTree:
                 if stats is not None:
                     stats.rows_touched += len(table)
                 pos = self.vars[u].index(var)
-                self.tables[u] = {r: c for r, c in table.items() if r[pos] == value}
+                self.tables[u] = [r for r in table if r[pos] == value]
                 if len(self.tables[u]) < len(table):
                     narrowed.add(u)
         self._cache = {e: hit for e, hit in self._cache.items() if narrowed.isdisjoint(hit[0])}
 
     def _combine(self, u, out_vars, children, msg, stats):
-        """The weighted projection: Σ row weight × child messages, per value
-        of ``out_vars``, keyed by ``_key``. Rows that some child cannot
-        extend drop out."""
+        """The weighted projection: Σ over the bag's rows of the product of
+        the child messages, per value of ``out_vars``, keyed by ``_key``.
+        Rows that some child cannot extend drop out."""
         table = self.tables[u]
         if stats is not None:
             stats.rows_touched += len(table)
-        if not children and out_vars == self.vars[u] and len(out_vars) != 1:
-            return dict(table)  # a leaf projected onto its own vars in order
-        weights = table.values()
-        for c in children:  # one lazy product stream per child: no per-row Python frame
-            kkey, m = self.key(u, self.separator(u, c)), msg[c]
-            weights = map(mul, weights, map(m.get, map(kkey, table), repeat(0)))
+        if not children:  # one C-level count; a leaf over its own vars in order keys by row
+            own = out_vars == self.vars[u] and len(out_vars) != 1
+            return Counter(table if own else map(self.key(u, out_vars), table))
+        streams = (map(msg[c].get, map(self.key(u, self.separator(u, c)), table), repeat(0))
+                   for c in children)  # one lazy product stream: no per-row Python frame
+        weights = reduce(partial(map, mul), streams)
         out: dict = {}
         get = out.get
         for k, w in zip(map(self.key(u, out_vars), table), weights):
@@ -210,46 +217,54 @@ class CountingTree:
         return _tupled(self.counts(root, out_vars, stats), len(out_vars))
 
 
-def atom_tree(q: Query, bound, mode: str, stats=None) -> CountingTree:
-    """The counting tree over the bound atoms' row counts."""
-    return CountingTree([b.vars for b in bound], q.head, row_counts(bound, stats), mode)
+def atom_tree(q: Query, bound, mode: str) -> CountingTree:
+    """The counting tree over the bound atoms' rows, each atom's bag as is."""
+    return CountingTree([b.vars for b in bound], q.head, [b.rows for b in bound], mode)
 
 
 def build_reduced_db(q: Query, db: Instance) -> ReducedDB:
     """Stages 1 and 2: fully reduced, head-projected weighted relations."""
-    return _reduce(q, db)[1]
+    return ReducedDB(tuple(ReducedAtom(a.vars, a.rows) for a in _reduce(q, db)[1].atoms))
 
 
 def _reduce(q: Query, db: Instance) -> tuple[CountingTree, ReducedDB]:
     """``build_reduced_db``, plus the atom counting tree over the fully
-    reduced row counts; stage 1 deletes only rows that no answer extends, so
-    that tree counts every answer as the unreduced one does."""
+    reduced bags; stage 1 drops only rows that no answer extends, so that
+    tree counts every answer as the unreduced one does."""
     ct = atom_tree(q, bound_atoms(q, db), DIRECT_LEX)
     tables, vars_list = ct.tables, list(ct.vars)
 
-    # stage 1: full semi-join reduction over the directed edges, up then down
+    # stage 1: full semi-join reduction over the directed edges, up then down.
+    # A bag's key set over a separator is kept until the bag loses rows, so
+    # a later pass over the same separator reads no row.
     parent = ct.tree.parent
     up = [(u, parent[u]) for u in ct.tree.postorder() if parent[u] is not None]
+    keysets: dict[tuple, set] = {}
     for src, dst in up + [(p, u) for u, p in reversed(up)]:
         sep = ct.separator(src, dst)
-        keys = set(map(ct.key(src, sep), tables[src]))
-        joins = map(keys.__contains__, map(ct.key(dst, sep), tables[dst]))
-        # delete in place the rows no src row joins: a pass that keeps all builds nothing
-        for r in list(compress(tables[dst], map(not_, joins))):
-            del tables[dst][r]
+        keys, theirs = (keysets.get((u, sep)) or set(map(ct.key(u, sep), tables[u]))
+                        for u in (src, dst))
+        keysets[src, sep], kept = keys, theirs & keys
+        if len(kept) < len(theirs):
+            dst_key = ct.key(dst, sep)
+            tables[dst] = list(compress(tables[dst], map(keys.__contains__, map(dst_key, tables[dst]))))
+            keysets = {e: ks for e, ks in keysets.items() if e[0] != dst}
+        keysets[dst, sep] = kept
 
-    # stage 2: counting messages toward a virtual head node F
+    # stage 2: counting messages toward a virtual head node F; when every
+    # atom next to F is a leaf, none is counted here but on its first read
     F = len(tables)
     ht = CountingTree(vars_list + [q.head], q.head, tables, DIRECT_LEX, "not_free_connex")
-    msg, children = ht.messages(F)
+    children = ht.tree.rerooted(F).children()
+    msg = ht.messages(F)[0] if any(children[u] for u in children[F]) else {}
     reduced = []
     for u in range(F):
         hv = ht.separator(u, F)
-        if u in children[F]:
-            rows = _tupled(msg[u], len(hv))
+        if u not in children[F]:
+            reduced.append(ReducedAtom(hv, dict.fromkeys(map(_proj(vars_list[u], hv), tables[u]), 1)))
         else:
-            rows = dict.fromkeys(map(_proj(vars_list[u], hv), tables[u]), 1)
-        reduced.append(ReducedAtom(hv, rows))
+            reduced.append(ReducedAtom(hv, _tupled(msg[u], len(hv))) if u in msg
+                           else ReducedAtom(hv, leaf=(ht, u)))
     return ct, ReducedDB(tuple(reduced))
 
 
@@ -292,39 +307,34 @@ def _build_tables(q: Query, rdb: ReducedDB, order, stats: PreprocessStats | None
     totals: list[dict] = [None] * f  # keyed by _key over ν
 
     for i in reversed(range(f)):
-        anchor = rdb.atoms[vt.anchor[i]]
-        if vt.anchor[i] in vt.assigned[i]:
-            # an anchor settled at w_i has vars exactly ν ∪ {w_i}: one row
-            # per (ν, v), and its weight is the row's own
-            pvars, pairs = anchor.vars, anchor.rows
-        else:  # its distinct (ν, v) pairs, in first-occurrence order, weight 1
-            pvars = vt.nsets[i] + (vt.order[i],)
-            pairs = dict.fromkeys(map(_proj(anchor.vars, pvars), anchor.rows), 1)
-        nu_of = _key(pvars, vt.nsets[i])
-        widx = pvars.index(vt.order[i])
+        a, w, nset = vt.anchor[i], vt.order[i], vt.nsets[i]
+        # an anchor settled at w_i has vars exactly ν ∪ {w_i}: a leaf's bag
+        # is counted per (ν, v), an inner atom has one weighted row per pair
+        anchor, settled = rdb.atoms[a], a in vt.assigned[i]
+        if anchor.leaf:
+            tree, u = anchor.leaf
+            weights = _split(tree.vars[u], tree.tables[u], nset, w, "count" if settled else "one")
+        else:
+            weights = _split(anchor.vars, anchor.rows, nset, w, "row" if settled else "one")
 
         # weights of the other atoms settled at w_i, then the child subtree
-        # totals; all their vars lie in ν ∪ {w_i}, so they key off the pair
+        # totals; all their vars lie in ν ∪ {w_i}, so they key off the
+        # candidate's row (v, then ν). After full reduction every key is there.
+        pvars = (w,) + nset
         lookups = [(_proj(pvars, rdb.atoms[ai].vars), rdb.atoms[ai].rows)
-                   for ai in vt.assigned[i] if ai != vt.anchor[i]]
+                   for ai in vt.assigned[i] if ai != a]
         lookups += [(_key(pvars, vt.nsets[c]), totals[c]) for c in children[i]]
-
-        weights: dict = defaultdict(dict)  # ν -> {v: g(ν, v) > 0}
-        for r, g in pairs.items():
-            gv = weights[nu_of(r)]
-            for key, m in lookups:
-                g *= m.get(key(r), 0)
-                if not g:
-                    break
-            if g:  # g = 0: the candidate never joins; unreachable after full reduction
-                gv[r[widx]] = g
 
         gmap: dict = {}
         for nu, gv in weights.items():
             values = _sort_values(gv, stats)
-            if values:
-                gmap[nu] = _Group(values, list(accumulate(map(gv.__getitem__, values))))
-        groups[i] = _tupled(gmap, len(vt.nsets[i]))
+            gs = map(gv.__getitem__, values)
+            if lookups:  # values are never tuples; a ν key over one var is one
+                cands = list(map(tuple.__add__, zip(values), repeat(nu if type(nu) is tuple else (nu,))))
+                for key, m in lookups:
+                    gs = map(mul, gs, map(m.__getitem__, map(key, cands)))
+            gmap[nu] = _Group(values, list(accumulate(gs)))
+        groups[i] = _tupled(gmap, len(nset))
         totals[i] = {nu: grp.cums[-1] for nu, grp in gmap.items()}
 
     count = 1
@@ -333,6 +343,24 @@ def _build_tables(q: Query, rdb: ReducedDB, order, stats: PreprocessStats | None
     for r in vt.roots():
         count *= totals[r].get((), 0)
     return vt, groups, count
+
+
+def _split(vars_, rows, nset, w, weigh: str) -> dict:
+    """ν -> {v: weight} over ``rows`` (over ``vars_``), both in
+    first-occurrence order, from one C-level pass that splits the rows per
+    ν. A candidate weighs its row's weight (``"row"``: one weighted row per
+    (ν, v)), its number of rows (``"count"``: a bag), or 1 (``"one"``)."""
+    nu_of, v_of = _key(vars_, nset), itemgetter(vars_.index(w))
+    if weigh == "row":
+        weights: dict = defaultdict(dict)
+        deque(map(setitem, map(weights.__getitem__, map(nu_of, rows)), map(v_of, rows),
+                  rows.values()), maxlen=0)
+        return weights
+    lists: dict = defaultdict(list)
+    deque(map(list.append, map(lists.__getitem__, map(nu_of, rows)), map(v_of, rows)), maxlen=0)
+    if weigh == "one":
+        return {nu: dict.fromkeys(vs, 1) for nu, vs in lists.items()}
+    return {nu: Counter(vs) for nu, vs in lists.items()}
 
 
 @dataclass
@@ -405,7 +433,7 @@ def _preprocess(q: Query, db: Instance, report: TractabilityReport, mode: str,
         check_weight_columns(q, db, report.order)
     ct, rdb = _reduce(q, db)
     prefix, items = sum_blocks(q, ct, report) if mode == DIRECT_SUM else ((), [])
-    del ct  # free its row counts before the candidate tables are built
+    del ct  # free its count messages before the candidate tables are built
     stats = PreprocessStats() if count_comparisons else None
     order = report.completed_order
     vt, groups, count = _build_tables(q, rdb, order, stats)

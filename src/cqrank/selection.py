@@ -3,8 +3,8 @@
 Each access fixes the order's variables one at a time: count the answers per
 candidate value of the next variable, then weighted-quickselect the residual
 rank into a value block. The counts come from the counting kernel that direct
-access builds on: one call collapses the atoms' rows once
-(``engine.row_counts``) into one ``engine.CountingTree``, counts at an atom
+access builds on: one call builds one ``engine.CountingTree`` over the atoms'
+bags (the relations' own rows, nothing counted up front), counts at an atom
 holding the variable, and narrows the tree to the chosen value (``fix``), so
 each later step scans only the surviving rows and reuses every message whose
 side lost none. The variable sequence is the same deterministic tie-break
@@ -39,7 +39,7 @@ def conditional_value_counts(
     """(value, answer count) per candidate value of ``x`` consistent with
     ``fixed``, in first-occurrence order of the rooted atom. O(n) per call."""
     bound = _bound if _bound is not None else bound_atoms(q, db)
-    ct = atom_tree(q, bound, SINGLE_LEX, stats)
+    ct = atom_tree(q, bound, SINGLE_LEX)
     for var, value in fixed.items():
         ct.fix(var, value, stats)
     return _value_counts(ct, x, stats)
@@ -94,7 +94,7 @@ def select_lex(
         report = analyze(q, order)
     _check_routed(report, SINGLE_LEX)
     rng = random.Random(seed)
-    ct = atom_tree(q, bound_atoms(q, db), SINGLE_LEX, stats)
+    ct = atom_tree(q, bound_atoms(q, db), SINGLE_LEX)
     fixed: dict = {}
     kp = k
     for i, x in enumerate(report.tie_break_order):
@@ -123,7 +123,7 @@ def select_sum(
     _check_routed(report, SINGLE_SUM)
     check_weight_columns(q, db, report.order)
     rng = random.Random(seed)
-    ct = atom_tree(q, bound_atoms(q, db), SINGLE_SUM, stats)
+    ct = atom_tree(q, bound_atoms(q, db), SINGLE_SUM)
     prefix, items = sum_blocks(q, ct, report, stats)
     total = sum(w for _, w in items)
     if k < 0 or k >= total:

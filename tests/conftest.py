@@ -59,3 +59,52 @@ def random_instance(q: Query, rng: random.Random, n: int, domain: int) -> Instan
 
 def domain_for(n: int, join_size: str) -> int:
     return math.ceil(2 * math.sqrt(n)) if join_size == "large" else max(1, math.ceil(n / 10))
+
+
+def random_acyclic_case(rng: random.Random):
+    """A random acyclic query, a lex and a sum order, and a small instance
+    whose sum-weight columns hold ints and every other cell an int or a str.
+
+    Each atom shares a random subset of an earlier atom's variables and adds
+    fresh ones (a join forest); a relation name may come back at the same
+    arity, and a variable may repeat inside an atom. Domains are small and
+    relations hold 0-6 rows, so many rows dangle.
+    """
+    fresh = (f"V{i}" for i in range(100))
+    atoms, names = [], []
+    for _ in range(rng.randint(1, 4)):
+        arity = rng.randint(1, 3)
+        shared = []
+        if atoms:
+            pvars = sorted(set(rng.choice(atoms)))
+            shared = rng.sample(pvars, rng.randint(0, min(arity, len(pvars))))
+        vars_ = shared + [next(fresh) for _ in range(arity - len(shared))]
+        rng.shuffle(vars_)
+        if arity > 1 and rng.random() < 0.2:
+            vars_[rng.randrange(arity)] = rng.choice(vars_)
+        same = [n for n, a in zip(names, atoms) if len(a) == arity]
+        names.append(rng.choice(same) if same and rng.random() < 0.3 else f"R{len(atoms)}")
+        atoms.append(vars_)
+    all_vars = list(dict.fromkeys(v for a in atoms for v in a))
+    head = rng.sample(all_vars, rng.randint(1, len(all_vars)))
+    q = parse_query(f"Q({','.join(head)}) :- "
+                    + ", ".join(f"{n}({','.join(a)})" for n, a in zip(names, atoms)) + ".")
+
+    lex = rng.sample(head, rng.randint(1, len(head)))
+    anchor = [v for v in dict.fromkeys(rng.choice(atoms)) if v in head]
+    weights = rng.sample(anchor, rng.randint(1, len(anchor))) if anchor else []
+    orders = [parse_order("lex: " + ",".join(lex), q)]
+    if weights:
+        orders.append(parse_order("sum: " + ",".join(weights), q))
+
+    ints = {(n, i) for n, a in zip(names, atoms) for i, v in enumerate(a) if v in weights}
+    rels = {}
+    for n, a in zip(names, atoms):
+        if n not in rels:
+            rows = tuple(
+                tuple(rng.randint(0, 2) if (n, i) in ints else rng.choice((0, 1, 2, "a", "b"))
+                      for i in range(len(a)))
+                for _ in range(rng.randint(0, 6))
+            )
+            rels[n] = Relation(n, tuple(f"c{i}" for i in range(len(a))), rows)
+    return q, orders, Instance(rels)

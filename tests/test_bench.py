@@ -126,3 +126,27 @@ def test_bench_query_shape():
     q = bench_query()
     assert q.head == ("A", "B", "C", "D")
     assert [a.relation for a in q.atoms] == ["R", "S", "T"]
+
+
+@pytest.mark.parametrize("order,unrouted", [
+    ("sum: A,B", set()),                     # preprocess_sum and select_sum
+    ("lex: A,C,B,D", {"da", "da_over_sa"}),  # a disruptive trio: selection and the baselines
+])
+def test_bench_runs_orders_direct_lex_cannot_build(order, unrouted):
+    """An order ``preprocess_lex`` rejects still runs every method; a method
+    whose engine is not routed records ``NotRouted`` in its row, and the
+    answer count comes from selection's counting when no index is built."""
+    from cqrank.baseline import stream_answers
+
+    report = run_benchmark({"order": order, "experiments": [
+        {"id": "A", "ns": [60], "seeds": [1], "methods": ["da", "sa", "full-sort", "topk-heap"]},
+        {"id": "C", "ns": [60], "seeds": [1, 2]},
+    ]})
+    assert [r["experiment"] for r in report.rows] == ["A"] * 8 + ["C"] * 4
+    for r in report.rows:
+        db = generate_instance(GenConfig(r["n"], r["join_size"], r["seed"]))
+        assert r["answers"] == sum(1 for _ in stream_answers(bench_query(), db)), r
+        if r["method"] in unrouted:
+            assert r["error"] == "NotRouted" and not r.get("verified"), r
+        else:
+            assert not r.get("error") and r["verified"] is True, r

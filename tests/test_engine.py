@@ -22,7 +22,7 @@ from cqrank.errors import NotRouted, OutOfRange
 from cqrank.instrument import AccessStats
 from cqrank.model import Instance, Relation, parse_order, parse_query
 
-from conftest import domain_for, random_instance
+from conftest import domain_for, random_acyclic_case, random_instance
 
 
 def _lex_index(q, db, text):
@@ -98,11 +98,13 @@ def test_reduced_db_invariants_random(q2path):
 
 
 def _general_combine(self, u, out_vars, children, msg, stats):
-    """``CountingTree._combine`` with no pass-through: every row is keyed."""
+    """``CountingTree._combine`` with no pass-through: every row of the bag
+    weighs 1 and is keyed."""
     key = self.key(u, out_vars)
     kids = [(self.key(u, self.separator(u, c)), msg[c]) for c in children]
     out = {}
-    for row, w in self.tables[u].items():
+    for row in self.tables[u]:
+        w = 1
         for kkey, m in kids:
             w *= m.get(kkey(row), 0)
         if w:
@@ -148,62 +150,13 @@ def test_leaf_tables_pass_through_the_head_messages(text, passes, monkeypatch):
         assert [passed.get(u, False) for u in range(len(q.atoms))] == passes
 
 
-def _random_acyclic_case(rng):
-    """A random acyclic query, a lex and a sum order, and a small instance
-    whose sum-weight columns hold ints and every other cell an int or a str.
-
-    Each atom shares a random subset of an earlier atom's variables and adds
-    fresh ones (a join forest); a relation name may come back at the same
-    arity, and a variable may repeat inside an atom. Domains are small and
-    relations hold 0-6 rows, so many rows dangle.
-    """
-    fresh = (f"V{i}" for i in range(100))
-    atoms, names = [], []
-    for _ in range(rng.randint(1, 4)):
-        arity = rng.randint(1, 3)
-        shared = []
-        if atoms:
-            pvars = sorted(set(rng.choice(atoms)))
-            shared = rng.sample(pvars, rng.randint(0, min(arity, len(pvars))))
-        vars_ = shared + [next(fresh) for _ in range(arity - len(shared))]
-        rng.shuffle(vars_)
-        if arity > 1 and rng.random() < 0.2:
-            vars_[rng.randrange(arity)] = rng.choice(vars_)
-        same = [n for n, a in zip(names, atoms) if len(a) == arity]
-        names.append(rng.choice(same) if same and rng.random() < 0.3 else f"R{len(atoms)}")
-        atoms.append(vars_)
-    all_vars = list(dict.fromkeys(v for a in atoms for v in a))
-    head = rng.sample(all_vars, rng.randint(1, len(all_vars)))
-    q = parse_query(f"Q({','.join(head)}) :- "
-                    + ", ".join(f"{n}({','.join(a)})" for n, a in zip(names, atoms)) + ".")
-
-    lex = rng.sample(head, rng.randint(1, len(head)))
-    anchor = [v for v in dict.fromkeys(rng.choice(atoms)) if v in head]
-    weights = rng.sample(anchor, rng.randint(1, len(anchor))) if anchor else []
-    orders = [parse_order("lex: " + ",".join(lex), q)]
-    if weights:
-        orders.append(parse_order("sum: " + ",".join(weights), q))
-
-    ints = {(n, i) for n, a in zip(names, atoms) for i, v in enumerate(a) if v in weights}
-    rels = {}
-    for n, a in zip(names, atoms):
-        if n not in rels:
-            rows = tuple(
-                tuple(rng.randint(0, 2) if (n, i) in ints else rng.choice((0, 1, 2, "a", "b"))
-                      for i in range(len(a)))
-                for _ in range(rng.randint(0, 6))
-            )
-            rels[n] = Relation(n, tuple(f"c{i}" for i in range(len(a))), rows)
-    return q, orders, Instance(rels)
-
-
 def test_direct_access_matches_oracle_on_random_acyclic_queries():
     """Every routed (query, order) pair returns the oracle's tuple at every
     rank, on instances where many rows dangle."""
     rng = random.Random(7)
     routed = Counter()
     for _ in range(400):
-        q, orders, db = _random_acyclic_case(rng)
+        q, orders, db = random_acyclic_case(rng)
         for o in orders:
             if not analyze(q, o).routing[DIRECT_LEX if o.kind == "lex" else DIRECT_SUM].ok:
                 continue
@@ -365,25 +318,25 @@ def test_preprocess_sum_binds_and_counts_once(q3path, monkeypatch):
     import cqrank.engine as engine
 
     calls = []
-    real_bind, real_counts = engine.bound_atoms, engine.row_counts
+    real_bind, real_tree = engine.bound_atoms, engine.atom_tree
 
     def spy_bind(q, db):
         calls.append("bound_atoms")
         return real_bind(q, db)
 
-    def spy_counts(bound, stats=None):
-        calls.append("row_counts")
-        return real_counts(bound, stats)
+    def spy_tree(q, bound, mode):
+        calls.append("atom_tree")
+        return real_tree(q, bound, mode)
 
     monkeypatch.setattr(engine, "bound_atoms", spy_bind)
-    monkeypatch.setattr(engine, "row_counts", spy_counts)
+    monkeypatch.setattr(engine, "atom_tree", spy_tree)
     db = random_instance(q3path, random.Random(62), 30, 4)
     for text in ("sum: C,D", "sum: B"):
         o = parse_order(text, q3path)
         report = analyze(q3path, o)
         calls.clear()
         ix = preprocess_sum(q3path, db, report)
-        assert calls == ["bound_atoms", "row_counts"], text
+        assert calls == ["bound_atoms", "atom_tree"], text
         assert [ix.access(k) for k in range(ix.count)] == materialize_and_sort(q3path, db, o)
 
 
@@ -431,6 +384,56 @@ def test_concurrent_access_consistency(q2path, db1):
     for t in threads:
         t.join()
     assert not errors
+
+
+def test_the_kernel_never_copies_or_mutates_a_relations_rows(q3path):
+    """A counting tree's tables are the relations' own row tuples, and no
+    engine entry point, alone or from concurrent threads, changes them."""
+    from cqrank.analysis import SINGLE_LEX
+    from cqrank.engine import atom_tree
+    from cqrank.model import bound_atoms
+    from cqrank.selection import select_lex, select_sum
+
+    db = random_instance(q3path, random.Random(67), 40, 3)
+    before = {n: (r.rows, list(r.rows)) for n, r in db.relations.items()}
+
+    def unchanged():
+        return all(r.rows is before[n][0] and list(r.rows) == before[n][1]
+                   for n, r in db.relations.items())
+
+    bound = bound_atoms(q3path, db)
+    ct = atom_tree(q3path, bound, SINGLE_LEX)
+    assert all(ct.tables[u] is b.rows is db.relations[a.relation].rows
+               for u, (b, a) in enumerate(zip(bound, q3path.atoms)))
+    assert all(len(set(b.rows)) < len(b.rows) for b in bound)  # bags, not sets
+
+    orders = {t: parse_order(t, q3path) for t in ("lex: A,C,B,D", "sum: C,D", "lex: A,B,C,D")}
+    calls = [
+        lambda: [select_lex(q3path, db, orders["lex: A,C,B,D"], k, seed=k) for k in (0, 99)],
+        lambda: [select_sum(q3path, db, orders["sum: C,D"], k, seed=k) for k in (0, 99)],
+        lambda: build_index(q3path, db, orders["lex: A,B,C,D"]).access(99),
+        lambda: build_index(q3path, db, orders["sum: C,D"]).access(99),
+    ]
+    expected = []
+    for call in calls:
+        expected.append(call())
+        assert unchanged()
+    errors = []
+
+    def worker():
+        try:
+            for _ in range(5):
+                errors.extend(i for i, call in enumerate(calls) if call() != expected[i])
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert unchanged()
 
 
 def test_build_index_dispatches_by_order_kind(q2path, db1):
@@ -517,7 +520,7 @@ def test_counting_tree_reuses_messages_whose_side_kept_its_rows(q3path, monkeypa
     stats = SelectStats()
     ct.fix("A", 2, stats)
     assert stats.rows_touched == 3
-    assert ct.tables[R] == {(2, 1): 1, (2, 2): 1}
+    assert ct.tables[R] == [(2, 1), (2, 2)]
     assert ct.count_at(S, ("C",)) == {(5,): 2, (6,): 2}
     assert sorted(combined) == [R, S]
 
@@ -631,7 +634,7 @@ def test_bare_keys_match_the_tuple_key_reference(text, orders, monkeypatch):
 def test_bare_keys_match_the_tuple_key_reference_on_random_acyclic_queries(monkeypatch):
     rng = random.Random(17)
     for _ in range(150):
-        q, orders, db = _random_acyclic_case(rng)
+        q, orders, db = random_acyclic_case(rng)
         if not analyze(q, orders[0]).free_connex:
             continue
         want = _tuple_key_reference(monkeypatch, q, db, orders)
@@ -720,7 +723,7 @@ def test_distinct_pair_tables_match_the_row_loop():
     rng = random.Random(29)
     unsettled = 0
     for _ in range(300):
-        q, orders, db = _random_acyclic_case(rng)
+        q, orders, db = random_acyclic_case(rng)
         for o in orders:
             report = analyze(q, o)
             if not report.routing[DIRECT_LEX if o.kind == "lex" else DIRECT_SUM].ok:
@@ -742,3 +745,33 @@ def test_distinct_pair_tables_match_the_row_loop():
         rdb = build_reduced_db(q, db)
         got = _tables_outcome(_build_tables, q, rdb, report.completed_order)
         assert got == _tables_outcome(_row_loop_build_tables, q, rdb, report.completed_order), db
+
+
+def test_bag_groups_match_the_counted_relations(monkeypatch):
+    """Candidate tables that split and count a head-tree leaf's bag per group
+    equal the ones built from the counted relations (what
+    ``build_reduced_db`` hands out): the same groups in the same order, the
+    same values, prefix sums, count and counted comparisons."""
+    from cqrank import engine
+
+    real, calls = engine._split, Counter()
+
+    def spy(*args):
+        calls[args[-1]] += 1
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_split", spy)
+    rng = random.Random(37)
+    cases = [random_acyclic_case(rng) for _ in range(300)]
+    q = parse_query("Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D).")
+    for d in (3, 40):  # groups that repeat values, and groups that do not
+        cases.append((q, [parse_order("lex: A,B,C,D", q)], random_instance(q, rng, 60, d)))
+    for q, orders, db in cases:
+        for o in orders:
+            report = analyze(q, o)
+            if not report.routing[DIRECT_LEX if o.kind == "lex" else DIRECT_SUM].ok:
+                continue
+            order = report.completed_order
+            assert _tables_outcome(engine._build_tables, q, engine._reduce(q, db)[1], order) == \
+                _tables_outcome(engine._build_tables, q, build_reduced_db(q, db), order), (q, o, db)
+    assert min(calls["count"], calls["row"], calls["one"]) >= 100, calls

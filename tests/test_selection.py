@@ -1,12 +1,13 @@
 import builtins
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqrank.analysis import analyze
+from cqrank.analysis import DIRECT_LEX, DIRECT_SUM, SINGLE_LEX, SINGLE_SUM, analyze
 from cqrank.baseline import materialize_and_sort
 from cqrank.engine import preprocess_lex, preprocess_sum
 from cqrank.errors import KOutOfRange, NotRouted, OutOfRange
@@ -19,7 +20,7 @@ from cqrank.selection import (
     weighted_select,
 )
 
-from conftest import random_instance
+from conftest import random_acyclic_case, random_instance
 
 
 def test_conditional_value_counts_examples(q2path, db1):
@@ -207,20 +208,22 @@ def test_narrowing_selection_matches_oracle(query_text, orders):
 
 def test_selection_counts_rows_once_per_call(q3path, monkeypatch):
     import cqrank.engine as engine
+    import cqrank.selection as selection
 
     calls = []
-    real_counts, real_init = engine.row_counts, engine.CountingTree.__init__
+    real_bind, real_init = selection.bound_atoms, engine.CountingTree.__init__
 
-    def spy_counts(bound, stats=None):
-        calls.append(("row_counts", [len(b.rows) for b in bound]))
-        return real_counts(bound, stats)
+    def spy_bind(q, db):
+        bound = real_bind(q, db)
+        calls.append(("bind", [len(b.rows) for b in bound]))
+        return bound
 
     def spy_init(self, *args, **kwargs):
         calls.append(("tree",))
         real_init(self, *args, **kwargs)
 
     db = random_instance(q3path, random.Random(61), 30, 4)
-    monkeypatch.setattr(engine, "row_counts", spy_counts)
+    monkeypatch.setattr(selection, "bound_atoms", spy_bind)
     monkeypatch.setattr(engine.CountingTree, "__init__", spy_init)
     sizes = [len(db.relations[a.relation].rows) for a in q3path.atoms]
     for text, sel in (("lex: A,C,B,D", select_lex), ("sum: C,D", select_sum)):
@@ -229,4 +232,35 @@ def test_selection_counts_rows_once_per_call(q3path, monkeypatch):
         for k in (0, 7):
             calls.clear()
             sel(q3path, db, o, k, seed=k, report=report)
-            assert calls == [("row_counts", sizes), ("tree",)], text
+            assert calls == [("bind", sizes), ("tree",)], text
+
+
+def test_selection_matches_oracle_on_random_acyclic_queries():
+    """``select_lex`` and ``select_sum`` return the oracle's tuple at every
+    rank on random acyclic queries, including orders with a disruptive trio
+    (which only selection serves) and relations holding duplicate rows."""
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(400):
+        q, orders, db = random_acyclic_case(rng)
+        # a full lex order over a shuffled head: on a path, often a trio
+        orders.append(parse_order("lex: " + ",".join(rng.sample(q.head, len(q.head))), q))
+        dups = any(len(set(r.rows)) < len(r.rows) for r in db.relations.values())
+        for o in orders:
+            lex = o.kind == "lex"
+            sel, report = (select_lex if lex else select_sum), analyze(q, o)
+            if not report.routing[SINGLE_LEX if lex else SINGLE_SUM].ok:
+                with pytest.raises(NotRouted):
+                    sel(q, db, o, 0, report=report)
+                continue
+            want = materialize_and_sort(q, db, o)
+            got = [sel(q, db, o, k, seed=k, report=report) for k in range(len(want))]
+            assert got == want, (q, o, db)
+            with pytest.raises(OutOfRange):
+                sel(q, db, o, len(want), report=report)
+            direct = report.routing[DIRECT_LEX if lex else DIRECT_SUM]
+            seen[o.kind] += 1
+            seen["trio"] += bool({"disruptive_trio", "no_trio_free_completion"} & set(direct.reasons))
+            seen["duplicates"] += dups and bool(want)
+    assert seen["lex"] >= 400 and seen["sum"] >= 150, seen
+    assert seen["trio"] >= 15 and seen["duplicates"] >= 100, seen
