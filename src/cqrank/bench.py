@@ -34,7 +34,7 @@ from .baseline import (
 )
 from .engine import _check_routed, preprocess_lex, preprocess_sum
 from .errors import CqError, ConfigError, NotRouted, OutOfRange
-from .instrument import AccessStats
+from .instrument import Stats
 from .model import Instance, OrderSpec, Query, Relation, parse_order, parse_query, read_utf8
 from .selection import conditional_value_counts, select_lex, select_sum
 
@@ -173,9 +173,8 @@ class _Runner:
         try:
             if method == "da":
                 _check_routed(self.report, self.da_mode)
-                stats = AccessStats()
-                self.index.access(k, stats)  # warm-up, discarded
-                stats = AccessStats()
+                self.index.access(k)  # warm-up, uncounted
+                stats = Stats()
                 t0 = time.perf_counter()
                 ans = self.index.access(k, stats)
                 row["access_ms"] = _ms(t0, time.perf_counter())
@@ -245,9 +244,10 @@ def _check_config(config) -> None:
 def run_benchmark(config) -> BenchReport:
     """Run the experiments in a config dict (or JSON file path)."""
     if isinstance(config, (str, Path)):
+        text = read_utf8(config)  # outside the try: a UnicodeDecodeError is a ValueError too
         try:
-            config = json.loads(read_utf8(config))
-        except json.JSONDecodeError as exc:
+            config = json.loads(text)
+        except ValueError as exc:  # not JSON, or an integer longer than int() converts
             raise ConfigError(f"{config} is not JSON: {exc}") from None
     _check_config(config)
     verify_cap = config.get("verify_cap", 200_000)

@@ -20,7 +20,7 @@ from .baseline import (
 )
 from .engine import build_index
 from .errors import CqError, InvalidPositions, OutOfRange
-from .instrument import AccessStats, SelectStats
+from .instrument import Stats
 from .model import (
     LEX,
     load_instance,
@@ -68,20 +68,18 @@ def cmd_access(args) -> int:
     t0 = time.perf_counter()
     index = build_index(q, db, o)
     pre_ms = (time.perf_counter() - t0) * 1000.0
-    probes = 0
+    stats = Stats() if args.stats else None
     for k in _parse_ks(args.k):
-        stats = AccessStats()
         try:
             ans = index.access(k, stats)
             _emit({"k": k, "answer": ans.as_dict()})
         except OutOfRange:
             _emit({"k": k, "error": "out_of_range"})
-        probes += stats.probes
     if args.stats:
         # a build of its own, so the counting sort key stays out of preprocess_ms
         counted = build_index(q, db, o, count_comparisons=True)
         _emit({
-            "probes": probes,
+            "probes": stats.probes,
             "comparisons": counted.build_stats.comparisons,
             "preprocess_ms": round(pre_ms, 3),
         })
@@ -98,7 +96,7 @@ def cmd_select(args) -> int:
     q, o, db = _load(args)
     report = analyze(q, o)
     fn = select_lex if o.kind == LEX else select_sum
-    stats = SelectStats() if args.stats else None
+    stats = Stats() if args.stats else None
     select_s = 0.0
     for k in _parse_ks(args.k):
         t0 = time.perf_counter()

@@ -6,7 +6,7 @@ counting kernel: ``CountingTree`` holds each atom's rows as a bag (the
 relation's own tuple, every row weighing 1, so counts live only in the
 messages) and walks a join tree bottom-up with one weighted-projection loop
 (child messages multiplied per row, summed per projected value), then
-``count_at`` combines the messages at the chosen root. ``fix`` narrows the
+``counts`` combines the messages at the chosen root. ``fix`` narrows the
 tree's bags to one value of a variable; each directed message is kept and
 reused until a ``fix`` drops rows on its side, so selection makes one tree
 per call. Construction happens in three steps:
@@ -46,8 +46,8 @@ groups and child totals of stage 3) a key over exactly one variable is the
 bare value, and a key over zero or several variables is the tuple of values
 (``_key``). Values are ``int``/``str``, never tuples, so the two kinds cannot
 collide. Everything that leaves the kernel — ``ReducedAtom.rows``,
-``count_at``, ``sum_blocks`` and the ν keys of ``AccessIndex.groups`` — is
-keyed by tuples (``_tupled``).
+``sum_blocks`` and the ν keys of ``AccessIndex.groups`` — is keyed by tuples
+(``_tupled``); the tree itself hands out one key shape, ``counts`` by ``_key``.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .analysis import (
     gyo_join_tree,
 )
 from .errors import NotRouted, OutOfRange
-from .instrument import AccessStats, PreprocessStats, bisect_gt, sorted_counted
+from .instrument import Stats, bisect_gt, sorted_counted
 from .model import (AnswerTuple, Instance, Query, _no_gc, bound_atoms, check_weight_columns,
                     tuple_key, value_key)
 
@@ -89,7 +89,7 @@ class ReducedAtom:
     @cached_property
     def rows(self) -> dict[tuple, int]:
         tree, u = self.leaf
-        return _tupled(tree._combine(u, self.vars, (), {}, None), len(self.vars))
+        return _tupled(tree._combine(u, self.vars, (), {}), len(self.vars))
 
 
 @dataclass(frozen=True)
@@ -134,16 +134,18 @@ class CountingTree:
     then the other variables by first occurrence — so a message toward the
     head comes out in head order. ``fix`` narrows the tables in place; each
     directed message is kept with the nodes on its side and reused until a
-    ``fix`` drops rows from one of them.
+    ``fix`` drops rows from one of them. Every pass and ``fix`` adds the rows
+    it scans to the tree's ``stats``, when it has one.
     """
 
-    def __init__(self, vars_list, head, tables, mode: str, reason: str = "not_acyclic"):
+    def __init__(self, vars_list, head, tables, mode: str, stats: Stats | None = None,
+                 reason: str = "not_acyclic"):
         tree = gyo_join_tree(vars_list)
         if not isinstance(tree, JoinTree):
             raise NotRouted(mode, (reason,))
         self.tree = tree
         self.vars = tuple(vars_list)
-        self.tables = tables
+        self.tables, self.stats = tables, stats
         self._canon = tuple(dict.fromkeys(chain(head, *vars_list)))
         self._cache: dict[tuple[int, int], tuple[frozenset, dict]] = {}
 
@@ -154,27 +156,27 @@ class CountingTree:
     def key(self, u: int, wanted):
         return _key(self.vars[u], wanted)
 
-    def fix(self, var: str, value, stats=None) -> None:
+    def fix(self, var: str, value) -> None:
         """Keep only the rows with ``var == value`` in every table holding
         ``var`` (row order kept), and forget the messages they fed."""
         narrowed = set()
         for u, table in enumerate(self.tables):
             if var in self.vars[u]:
-                if stats is not None:
-                    stats.rows_touched += len(table)
+                if self.stats is not None:
+                    self.stats.rows_touched += len(table)
                 pos = self.vars[u].index(var)
                 self.tables[u] = [r for r in table if r[pos] == value]
                 if len(self.tables[u]) < len(table):
                     narrowed.add(u)
         self._cache = {e: hit for e, hit in self._cache.items() if narrowed.isdisjoint(hit[0])}
 
-    def _combine(self, u, out_vars, children, msg, stats):
+    def _combine(self, u, out_vars, children, msg):
         """The weighted projection: Σ over the bag's rows of the product of
         the child messages, per value of ``out_vars``, keyed by ``_key``.
         Rows that some child cannot extend drop out."""
         table = self.tables[u]
-        if stats is not None:
-            stats.rows_touched += len(table)
+        if self.stats is not None:
+            self.stats.rows_touched += len(table)
         if not children:  # one C-level count; a leaf over its own vars in order keys by row
             own = out_vars == self.vars[u] and len(out_vars) != 1
             return Counter(table if own else map(self.key(u, out_vars), table))
@@ -188,7 +190,7 @@ class CountingTree:
                 out[k] = get(k, 0) + w
         return out
 
-    def messages(self, root: int, stats=None):
+    def messages(self, root: int):
         """Counting messages toward ``root``: for every other node u, the
         weighted number of ways u's subtree extends each value of u's
         separator with its parent. Also returns the rooted children lists."""
@@ -201,25 +203,21 @@ class CountingTree:
             hit = self._cache.get(edge)
             if hit is None:
                 nodes = frozenset([u]).union(*(side[c] for c in children[u]))
-                m = self._combine(u, self.separator(*edge), children[u], msg, stats)
+                m = self._combine(u, self.separator(*edge), children[u], msg)
                 hit = self._cache[edge] = (nodes, m)
             side[u], msg[u] = hit
         return msg, children
 
-    def counts(self, root: int, out_vars, stats=None) -> dict:
+    def counts(self, root: int, out_vars) -> dict:
         """Answer count per value of ``out_vars`` (variables of node
         ``root``), keyed by ``_key``."""
-        msg, children = self.messages(root, stats)
-        return self._combine(root, out_vars, children[root], msg, stats)
-
-    def count_at(self, root: int, out_vars, stats=None) -> dict[tuple, int]:
-        """``counts`` keyed by tuples."""
-        return _tupled(self.counts(root, out_vars, stats), len(out_vars))
+        msg, children = self.messages(root)
+        return self._combine(root, out_vars, children[root], msg)
 
 
-def atom_tree(q: Query, bound, mode: str) -> CountingTree:
+def atom_tree(q: Query, bound, mode: str, stats: Stats | None = None) -> CountingTree:
     """The counting tree over the bound atoms' rows, each atom's bag as is."""
-    return CountingTree([b.vars for b in bound], q.head, [b.rows for b in bound], mode)
+    return CountingTree([b.vars for b in bound], q.head, [b.rows for b in bound], mode, stats)
 
 
 def build_reduced_db(q: Query, db: Instance) -> ReducedDB:
@@ -254,7 +252,7 @@ def _reduce(q: Query, db: Instance) -> tuple[CountingTree, ReducedDB]:
     # stage 2: counting messages toward a virtual head node F; when every
     # atom next to F is a leaf, none is counted here but on its first read
     F = len(tables)
-    ht = CountingTree(vars_list + [q.head], q.head, tables, DIRECT_LEX, "not_free_connex")
+    ht = CountingTree(vars_list + [q.head], q.head, tables, DIRECT_LEX, reason="not_free_connex")
     children = ht.tree.rerooted(F).children()
     msg = ht.messages(F)[0] if any(children[u] for u in children[F]) else {}
     reduced = []
@@ -268,14 +266,14 @@ def _reduce(q: Query, db: Instance) -> tuple[CountingTree, ReducedDB]:
     return ct, ReducedDB(tuple(reduced))
 
 
-def sum_blocks(q: Query, ct: CountingTree, report: TractabilityReport, stats=None):
+def sum_blocks(q: Query, ct: CountingTree, report: TractabilityReport):
     """The sum-anchor atom's head variables (head order), and per distinct
     value of them ``((rank key, values), answer count)``. The rank key orders
     the blocks by weight sum, then by the values."""
     anchor = report.sum_anchor
     prefix = tuple(v for v in q.head if v in ct.vars[anchor])
     wpos = [prefix.index(v) for v in report.order.vars]
-    blocks = ct.count_at(anchor, prefix, stats)
+    blocks = _tupled(ct.counts(anchor, prefix), len(prefix))
     return prefix, [(((sum(p[i] for i in wpos), tuple_key(p)), p), w) for p, w in blocks.items()]
 
 
@@ -289,7 +287,7 @@ class _Group:
         self.cums = cums
 
 
-def _sort_values(values, stats: PreprocessStats | None):
+def _sort_values(values, stats: Stats | None):
     if stats is not None:
         return sorted_counted(values, key=value_key, stats=stats)
     try:
@@ -299,7 +297,7 @@ def _sort_values(values, stats: PreprocessStats | None):
         return sorted(values, key=value_key)
 
 
-def _build_tables(q: Query, rdb: ReducedDB, order, stats: PreprocessStats | None):
+def _build_tables(q: Query, rdb: ReducedDB, order, stats: Stats | None):
     vt = build_variable_tree(q, order)
     f = len(order)
     children = vt.children()
@@ -376,7 +374,7 @@ class AccessIndex:
     vtree: VariableTree
     groups: list[dict[tuple, _Group]]
     count: int
-    build_stats: PreprocessStats | None  # set on builds that count comparisons
+    build_stats: Stats | None  # set on builds that count comparisons
     anchor_vals: list[tuple] = field(default_factory=list)
     cums: list[int] = field(default_factory=list)
     _npos: list[tuple[int, ...]] = field(default_factory=list)
@@ -405,7 +403,7 @@ class AccessIndex:
             vals[i] = grp.values[idx]
         return AnswerTuple(self.query.head, tuple(vals[j] for j in self._head_pick))
 
-    def access(self, k: int, stats: AccessStats | None = None) -> AnswerTuple:
+    def access(self, k: int, stats: Stats | None = None) -> AnswerTuple:
         if k < 0 or k >= self.count:
             raise OutOfRange(k, self.count)
         vals, C, start = [None] * len(self.order), self.count, 0
@@ -434,7 +432,7 @@ def _preprocess(q: Query, db: Instance, report: TractabilityReport, mode: str,
     ct, rdb = _reduce(q, db)
     prefix, items = sum_blocks(q, ct, report) if mode == DIRECT_SUM else ((), [])
     del ct  # free its count messages before the candidate tables are built
-    stats = PreprocessStats() if count_comparisons else None
+    stats = Stats() if count_comparisons else None
     order = report.completed_order
     vt, groups, count = _build_tables(q, rdb, order, stats)
     items = sorted_counted(items, key=itemgetter(0), stats=stats)

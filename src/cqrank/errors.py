@@ -55,6 +55,12 @@ class RaggedRow(CqError):
         self.line = line
 
 
+class IntegerTooLong(CqError):
+    def __init__(self, path, line):
+        super().__init__(f"{path}: line {line}: integer has more digits than int() converts")
+        self.path, self.line = path, line
+
+
 class EmptyHeader(CqError):
     def __init__(self, path):
         super().__init__(f"{path}: empty or blank header row")

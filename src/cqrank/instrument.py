@@ -1,26 +1,23 @@
 """Counters backing the complexity checks.
 
-All counters are plain per-call objects: callers that want numbers pass one
-in, everyone else pays nothing. Index structures never mutate shared state
-on the access path, so concurrent readers stay safe.
+One per-call ``Stats`` counts probes (direct access), sort comparisons (a
+counted build) and rows touched (selection): callers that want numbers pass
+one in, everyone else pays nothing. Index structures never mutate shared
+state on the access path, so concurrent readers stay safe.
 """
 
 from dataclasses import dataclass
 
 
 @dataclass
-class AccessStats:
+class Stats:
     probes: int = 0  # binary-search loop iterations
-
-
-@dataclass
-class PreprocessStats:
     comparisons: int = 0  # key comparisons inside preprocessing sorts
+    rows_touched: int = 0  # rows scanned by the counting tree's passes and fixes
 
 
-@dataclass
-class SelectStats:
-    rows_touched: int = 0
+# kept only for the import in perfbench/worker.py, until the benchmark moves to Stats
+AccessStats = SelectStats = Stats
 
 
 class CountingKey:

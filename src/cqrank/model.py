@@ -21,6 +21,7 @@ from .errors import (
     DuplicateHeadVariable,
     DuplicateVariable,
     EmptyHeader,
+    IntegerTooLong,
     MissingRelation,
     NonFreeVariable,
     NonNumericWeightColumn,
@@ -309,15 +310,29 @@ def load_relation(path, name: str) -> Relation:
     cells = ",".join(lines).split(",")
     del lines
     parsed = dict.fromkeys(cells)
-    if 2 * len(parsed) > len(cells):
-        del parsed
-        values = map(parse_cell, cells)
-    else:
-        for c in parsed:
-            parsed[c] = parse_cell(c)
-        values = map(parsed.__getitem__, cells)
-    # one iterator zipped with itself: consecutive runs of `arity` values
-    return Relation(name, columns, tuple(zip(*[values] * arity)))
+    try:
+        if 2 * len(parsed) > len(cells):
+            del parsed
+            values = map(parse_cell, cells)
+        else:
+            for c in parsed:
+                parsed[c] = parse_cell(c)
+            values = map(parsed.__getitem__, cells)
+        # one iterator zipped with itself: consecutive runs of `arity` values
+        rows = tuple(zip(*[values] * arity))
+    except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
+        raise _integer_too_long(path, cells, arity) from None
+    return Relation(name, columns, rows)
+
+
+def _integer_too_long(path, cells, arity) -> IntegerTooLong:
+    """The error naming the line of the first cell ``parse_cell`` refuses;
+    found only on this error path, so the parse above checks nothing per cell."""
+    for i, c in enumerate(cells):
+        try:
+            parse_cell(c)
+        except ValueError:
+            return IntegerTooLong(path, i // arity + 2)  # line 1 is the header
 
 
 @_no_gc()

@@ -7,9 +7,10 @@ access builds on: one call builds one ``engine.CountingTree`` over the atoms'
 bags (the relations' own rows, nothing counted up front), counts at an atom
 holding the variable, and narrows the tree to the chosen value (``fix``), so
 each later step scans only the surviving rows and reuses every message whose
-side lost none. The variable sequence is the same deterministic tie-break
-order the direct-access engine uses, so both produce identical tuples
-wherever both are routed.
+side lost none. A caller's ``Stats`` is handed to that tree, which counts the
+rows its passes and fixes touch. The variable sequence is the same
+deterministic tie-break order the direct-access engine uses, so both produce
+identical tuples wherever both are routed.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ import random
 from .analysis import SINGLE_LEX, SINGLE_SUM, analyze
 from .engine import CountingTree, _check_routed, atom_tree, sum_blocks
 from .errors import KOutOfRange, OutOfRange
-from .instrument import SelectStats
+from .instrument import Stats
 from .model import AnswerTuple, Instance, OrderSpec, Query, bound_atoms, check_weight_columns, value_key
 
 
-def _value_counts(ct: CountingTree, x: str, stats) -> list[tuple]:
+def _value_counts(ct: CountingTree, x: str) -> list[tuple]:
     root = next(u for u, vs in enumerate(ct.vars) if x in vs)
-    return list(ct.counts(root, (x,), stats).items())
+    return list(ct.counts(root, (x,)).items())
 
 
 def conditional_value_counts(
@@ -33,16 +34,16 @@ def conditional_value_counts(
     db: Instance,
     fixed: dict,
     x: str,
-    stats: SelectStats | None = None,
+    stats: Stats | None = None,
     _bound=None,
 ) -> list[tuple]:
     """(value, answer count) per candidate value of ``x`` consistent with
     ``fixed``, in first-occurrence order of the rooted atom. O(n) per call."""
     bound = _bound if _bound is not None else bound_atoms(q, db)
-    ct = atom_tree(q, bound, SINGLE_LEX)
+    ct = atom_tree(q, bound, SINGLE_LEX, stats)
     for var, value in fixed.items():
-        ct.fix(var, value, stats)
-    return _value_counts(ct, x, stats)
+        ct.fix(var, value)
+    return _value_counts(ct, x)
 
 
 def weighted_select(items, k: int, rng, key=None):
@@ -82,7 +83,7 @@ def select_lex(
     order: OrderSpec,
     k: int,
     seed=None,
-    stats: SelectStats | None = None,
+    stats: Stats | None = None,
     report=None,
 ) -> AnswerTuple:
     """k-th answer under a lexicographic order, expected O(f·n) per call.
@@ -94,17 +95,17 @@ def select_lex(
         report = analyze(q, order)
     _check_routed(report, SINGLE_LEX)
     rng = random.Random(seed)
-    ct = atom_tree(q, bound_atoms(q, db), SINGLE_LEX)
+    ct = atom_tree(q, bound_atoms(q, db), SINGLE_LEX, stats)
     fixed: dict = {}
     kp = k
     for i, x in enumerate(report.tie_break_order):
-        items = _value_counts(ct, x, stats)
+        items = _value_counts(ct, x)
         if i == 0:
             total = sum(w for _, w in items)
             if k < 0 or k >= total:
                 raise OutOfRange(k, total)
         fixed[x], kp = weighted_select(items, kp, rng=rng)
-        ct.fix(x, fixed[x], stats)
+        ct.fix(x, fixed[x])
     return AnswerTuple(q.head, tuple(fixed[v] for v in q.head))
 
 
@@ -114,7 +115,7 @@ def select_sum(
     order: OrderSpec,
     k: int,
     seed=None,
-    stats: SelectStats | None = None,
+    stats: Stats | None = None,
     report=None,
 ) -> AnswerTuple:
     """k-th answer under a single-atom sum order, expected O(n) per call."""
@@ -123,8 +124,8 @@ def select_sum(
     _check_routed(report, SINGLE_SUM)
     check_weight_columns(q, db, report.order)
     rng = random.Random(seed)
-    ct = atom_tree(q, bound_atoms(q, db), SINGLE_SUM)
-    prefix, items = sum_blocks(q, ct, report, stats)
+    ct = atom_tree(q, bound_atoms(q, db), SINGLE_SUM, stats)
+    prefix, items = sum_blocks(q, ct, report)
     total = sum(w for _, w in items)
     if k < 0 or k >= total:
         raise OutOfRange(k, total)
@@ -132,8 +133,8 @@ def select_sum(
     (_, vals), kp = weighted_select(items, k, rng=rng, key=lambda v: v[0])
     fixed = dict(zip(prefix, vals))
     for x, v in fixed.items():
-        ct.fix(x, v, stats)
+        ct.fix(x, v)
     for x in report.tie_break_order[len(prefix):]:
-        fixed[x], kp = weighted_select(_value_counts(ct, x, stats), kp, rng=rng)
-        ct.fix(x, fixed[x], stats)
+        fixed[x], kp = weighted_select(_value_counts(ct, x), kp, rng=rng)
+        ct.fix(x, fixed[x])
     return AnswerTuple(q.head, tuple(fixed[v] for v in q.head))

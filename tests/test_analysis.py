@@ -252,3 +252,46 @@ def test_analyze_completes_the_order_once(q3path, monkeypatch, order_text, compl
     assert len(calls) == 1
     assert r.completed_order == completed and r.tie_break_order == tie_break
     assert effective_order(q3path, o) == tie_break
+
+
+def _random_query_with_existentials(rng):
+    """3 to 7 head variables and one existential, over about as
+    many atoms of two or three variables (repeats allowed): sparse enough
+    for trios, dense enough for cycles; nothing is required of its shape."""
+    head = tuple(f"V{i}" for i in range(rng.randint(3, 7)))
+    pool = head + ("X0",)
+    atoms = [Atom(f"R{i}", tuple(rng.choices(pool, k=rng.choice([2, 2, 3]))))
+             for i in range(rng.randint(len(head) - 1, len(head) + 2))]
+    missing = tuple(v for v in head if all(v not in a.vars for a in atoms))
+    return Query("Q", head, tuple(atoms) + ((Atom("Rx", missing),) if missing else ()))
+
+
+def _brute_first_trio(q, order):
+    """The first position triple a < b < c (lexicographically) whose variables
+    form a disruptive trio, read off the atoms directly."""
+    share = {(x, y) for a in q.atoms for x in a.vars for y in a.vars if x != y}
+    for x1, x2, x3 in itertools.combinations(order, 3):
+        if (x1, x2) not in share and (x1, x3) in share and (x2, x3) in share:
+            return x1, x2, x3
+    return None
+
+
+def test_find_disruptive_trio_is_the_first_position_triple():
+    rng = random.Random(71)
+    for _ in range(600):
+        q = _random_query_with_existentials(rng)
+        order = rng.sample(q.head, rng.choice([len(q.head), rng.randint(0, len(q.head))]))
+        assert find_disruptive_trio(q, order) == _brute_first_trio(q, order), (q, order)
+
+
+def test_complete_order_is_the_first_trio_free_permutation_in_head_order():
+    """The determinism contract: the completion is the first trio-free order,
+    permuting the unranked variables in head order, or None when none is."""
+    rng = random.Random(73)
+    for _ in range(300):
+        q = _random_query_with_existentials(rng)
+        prefix = tuple(rng.sample(q.head, rng.randint(0, 3)))
+        rest = [v for v in q.head if v not in prefix]
+        want = next((prefix + perm for perm in itertools.permutations(rest)
+                     if _brute_first_trio(q, prefix + perm) is None), None)
+        assert complete_order(q, prefix) == want, (q, prefix)

@@ -167,6 +167,7 @@ def test_cli_bench(tmp_path, capsys):
     '{"experiments": {"id": "A"}}',
     '{"verify_cap": "many", "experiments": []}',
     '[]',
+    pytest.param('{"verify_cap": %s, "experiments": []}' % ("9" * 5000), id="over-long-int"),
 ])
 def test_cli_bench_bad_config_is_config_error(tmp_path, capsys, text):
     cfg = tmp_path / "bench.json"
@@ -185,6 +186,15 @@ def test_cli_bench_config_not_utf8_is_io_error(tmp_path, capsys):
     assert rc == 1
     (line,) = _lines(capsys)
     assert line["error"] == "io_error" and "bench.json" in line["detail"]
+
+
+def test_cli_over_long_integer_cell_is_integer_too_long(workspace, capsys):
+    (workspace / "data" / "S.csv").write_text("B,C\n1,10\n2," + "9" * 5000 + "\n")
+    assert main(["count", "--query", str(workspace / "q.cq"), "--data", str(workspace / "data"),
+                 "--order", "lex: A,B,C"]) == 1
+    (line,) = _lines(capsys)
+    assert line["error"] == "integer_too_long"
+    assert "S.csv" in line["detail"] and "line 3" in line["detail"]
 
 
 def test_cli_bad_query_file(tmp_path, capsys):

@@ -19,7 +19,7 @@ from cqrank.engine import (
     preprocess_sum,
 )
 from cqrank.errors import NotRouted, OutOfRange
-from cqrank.instrument import AccessStats
+from cqrank.instrument import Stats
 from cqrank.model import Instance, Relation, parse_order, parse_query
 
 from conftest import domain_for, random_acyclic_case, random_instance
@@ -97,7 +97,7 @@ def test_reduced_db_invariants_random(q2path):
                 ), (atom.vars, row)
 
 
-def _general_combine(self, u, out_vars, children, msg, stats):
+def _general_combine(self, u, out_vars, children, msg):
     """``CountingTree._combine`` with no pass-through: every row of the bag
     weighs 1 and is keyed."""
     key = self.key(u, out_vars)
@@ -356,7 +356,7 @@ def test_probe_bound(q3path):
     n = ix.max_group_size
     bound = f * ((n + 1).bit_length() + 2)
     for k in range(0, ix.count, max(1, ix.count // 50)):
-        st = AccessStats()
+        st = Stats()
         ix.access(k, st)
         assert st.probes <= bound
 
@@ -494,7 +494,6 @@ def test_checks_survive_python_O():
 def test_counting_tree_reuses_messages_whose_side_kept_its_rows(q3path, monkeypatch):
     from cqrank.analysis import SINGLE_LEX
     from cqrank.engine import CountingTree, atom_tree
-    from cqrank.instrument import SelectStats
     from cqrank.model import bound_atoms
 
     db = Instance({
@@ -502,7 +501,8 @@ def test_counting_tree_reuses_messages_whose_side_kept_its_rows(q3path, monkeypa
         "S": Relation("S", ("B", "C"), ((1, 5), (2, 5), (2, 6))),
         "T": Relation("T", ("C", "D"), ((5, 7), (6, 7), (6, 8))),
     })
-    ct = atom_tree(q3path, bound_atoms(q3path, db), SINGLE_LEX)
+    stats = Stats()
+    ct = atom_tree(q3path, bound_atoms(q3path, db), SINGLE_LEX, stats)
     combined = []
     real = CountingTree._combine
 
@@ -512,36 +512,37 @@ def test_counting_tree_reuses_messages_whose_side_kept_its_rows(q3path, monkeypa
 
     monkeypatch.setattr(CountingTree, "_combine", spy)
     R, S, T = 0, 1, 2
-    assert ct.count_at(S, ("C",)) == {(5,): 3, (6,): 2}
+    assert ct.counts(S, ("C",)) == {5: 3, 6: 2}
     assert sorted(combined) == [R, S, T]
+    assert stats.rows_touched == 9
 
     # fixing A narrows R only: T -> S is reused, R -> S is recounted
     combined.clear()
-    stats = SelectStats()
-    ct.fix("A", 2, stats)
-    assert stats.rows_touched == 3
+    ct.fix("A", 2)
+    assert stats.rows_touched == 9 + 3
     assert ct.tables[R] == [(2, 1), (2, 2)]
-    assert ct.count_at(S, ("C",)) == {(5,): 2, (6,): 2}
+    assert ct.counts(S, ("C",)) == {5: 2, 6: 2}
     assert sorted(combined) == [R, S]
 
     # fixing D narrows T only: R -> S is reused, T -> S is recounted
     combined.clear()
     ct.fix("D", 7)
-    assert ct.count_at(S, ("B",)) == {(1,): 1, (2,): 2}
+    assert ct.counts(S, ("B",)) == {1: 1, 2: 2}
     assert sorted(combined) == [S, T]
 
     # fixes that drop no row keep every message: T -> S is reused
     combined.clear()
     ct.fix("D", 7)
     ct.fix("A", 2)
-    assert ct.count_at(R, ("B",)) == {(1,): 1, (2,): 2}
+    assert ct.counts(R, ("B",)) == {1: 1, 2: 2}
     assert sorted(combined) == [R, S]
 
 
 def _kernel_outputs(q, db, orders):
-    """What the kernel hands out: reduced relations, ``count_at`` at every
-    node over every single variable, all its variables and none, and each
-    routed order's index tables, sum blocks and anchor values."""
+    """What the kernel hands out: reduced relations, tuple-keyed ``counts``
+    at every node over every single variable, all its variables and none,
+    and each routed order's index tables, sum blocks and anchor values."""
+    from cqrank import engine
     from cqrank.analysis import SINGLE_SUM
     from cqrank.engine import atom_tree, sum_blocks
     from cqrank.model import bound_atoms
@@ -549,8 +550,8 @@ def _kernel_outputs(q, db, orders):
     out = {"reduced": [(a.vars, list(a.rows.items())) for a in build_reduced_db(q, db).atoms]}
     ct = atom_tree(q, bound_atoms(q, db), SINGLE_SUM)
     outs = [(v,) for vs in ct.vars for v in vs] + [tuple(dict.fromkeys(vs)) for vs in ct.vars] + [()]
-    out["count_at"] = [(u, w, list(ct.count_at(u, w).items()))
-                       for u, vs in enumerate(ct.vars) for w in outs if set(w) <= set(vs)]
+    out["counts"] = [(u, w, list(engine._tupled(ct.counts(u, w), len(w)).items()))
+                     for u, vs in enumerate(ct.vars) for w in outs if set(w) <= set(vs)]
     for o in orders:
         report = analyze(q, o)
         if not report.routing[DIRECT_LEX if o.kind == "lex" else DIRECT_SUM].ok:
@@ -581,30 +582,17 @@ def _assert_tuple_keyed(out):
     """Every key that leaves the kernel is a tuple over its variables."""
     assert all(type(k) is tuple and len(k) == len(vars_)
                for vars_, rows in out["reduced"] for k, _ in rows)
-    assert all(type(k) is tuple and len(k) == len(w) for _, w, counts in out["count_at"]
+    assert all(type(k) is tuple and len(k) == len(w) for _, w, counts in out["counts"]
                for k, _ in counts)
     for key, val in out.items():
         if isinstance(key, tuple) and key[1:] == ("sum",):
             (prefix, items), anchor_vals, _ = val
             assert all(type(p) is tuple and len(p) == len(prefix)
                        for p in [p for (_, p), _ in items] + anchor_vals)
-        elif key not in ("reduced", "count_at"):
+        elif key not in ("reduced", "counts"):
             _, nsets, groups = val
             assert all(type(nu) is tuple and len(nu) == len(nsets[i])
                        for i, gm in enumerate(groups) for nu, *_ in gm)
-
-
-def _assert_counts_match_count_at(q, db):
-    """``counts`` over one variable is ``count_at`` keyed by the bare value."""
-    from cqrank.analysis import SINGLE_LEX
-    from cqrank.engine import atom_tree
-    from cqrank.model import bound_atoms
-
-    ct = atom_tree(q, bound_atoms(q, db), SINGLE_LEX)
-    for u, vs in enumerate(ct.vars):
-        for x in vs:
-            want = {v: c for (v,), c in ct.count_at(u, (x,)).items()}
-            assert ct.counts(u, (x,)) == want
 
 
 @pytest.mark.parametrize("text,orders", [
@@ -627,7 +615,6 @@ def test_bare_keys_match_the_tuple_key_reference(text, orders, monkeypatch):
         got = _kernel_outputs(q, db, orders)
         assert got == want, db
         _assert_tuple_keyed(got)
-        _assert_counts_match_count_at(q, db)
         assert all(o in got for o in orders), "every order is routed"
 
 
@@ -641,7 +628,6 @@ def test_bare_keys_match_the_tuple_key_reference_on_random_acyclic_queries(monke
         got = _kernel_outputs(q, db, orders)
         assert got == want, (q, orders, db)
         _assert_tuple_keyed(got)
-        _assert_counts_match_count_at(q, db)
 
 
 def _row_loop_build_tables(q, rdb, order, stats):
@@ -695,10 +681,8 @@ def _row_loop_build_tables(q, rdb, order, stats):
 def _tables_outcome(build, q, rdb, order):
     """A build's groups with their values and prefix sums, its count, and the
     comparisons a counted build of the same tables makes."""
-    from cqrank.instrument import PreprocessStats
-
     _, groups, count = build(q, rdb, order, None)
-    stats = PreprocessStats()
+    stats = Stats()
     build(q, rdb, order, stats)
     return ([[(nu, g.values, g.cums) for nu, g in gm.items()] for gm in groups],
             count, stats.comparisons)

@@ -7,6 +7,7 @@ from cqrank.errors import (
     DuplicateHeadVariable,
     DuplicateVariable,
     EmptyHeader,
+    IntegerTooLong,
     MissingRelation,
     NonFreeVariable,
     NonNumericWeightColumn,
@@ -270,6 +271,27 @@ def test_load_relation_mostly_distinct_cells(tmp_path):
     p.write_text("A,B\n1,x\n+2,-3\n1,007\n")  # 5 distinct of 6 cells
     assert _outcome(load_relation, p) == _outcome(_reference_load, p)
     assert load_relation(p, "T").rows == ((1, "x"), (2, -3), (1, 7))
+
+
+@pytest.mark.parametrize("rows", [
+    ["1,{big}"],                       # every cell distinct: each is parsed on its own
+    ["1,1", "1,1", "1,{big}", "1,1"],  # few distinct cells: each text is parsed once
+])
+def test_load_relation_over_long_integer_names_its_line(tmp_path, rows):
+    """``int()`` refuses more than 4 300 digits by default; the loader says
+    which file and line, as a ``CqError``, and leaves the limit alone."""
+    p = tmp_path / "t.csv"
+    p.write_text("A,B\n" + "\n".join(rows).replace("{big}", "9" * 5000) + "\n")
+    with pytest.raises(IntegerTooLong) as err:
+        load_relation(p, "T")
+    assert err.value.line == 2 + next(i for i, r in enumerate(rows) if "{big}" in r)
+    assert str(p) in str(err.value)
+
+
+def test_load_relation_longest_default_integer_is_an_int(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("A\n" + "9" * 4300 + "\n")
+    assert load_relation(p, "T").rows == ((10 ** 4300 - 1,),)
 
 
 def test_validate_instance(db1, q2path):

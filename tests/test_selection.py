@@ -11,7 +11,7 @@ from cqrank.analysis import DIRECT_LEX, DIRECT_SUM, SINGLE_LEX, SINGLE_SUM, anal
 from cqrank.baseline import materialize_and_sort
 from cqrank.engine import preprocess_lex, preprocess_sum
 from cqrank.errors import KOutOfRange, NotRouted, OutOfRange
-from cqrank.instrument import SelectStats
+from cqrank.instrument import Stats
 from cqrank.model import Instance, Relation, parse_order, parse_query, value_key
 from cqrank.selection import (
     conditional_value_counts,
@@ -178,7 +178,7 @@ def test_select_work_bound(q3path):
     n_total = sum(len(r.rows) for r in db.relations.values())
     f = len(q3path.head)
     for k in (0, ix.count // 2, ix.count - 1):
-        stats = SelectStats()
+        stats = Stats()
         select_lex(q3path, db, o, k, seed=0, stats=stats, report=report)
         assert stats.rows_touched <= 8 * f * n_total
 
