@@ -9,7 +9,8 @@ messages) and walks a join tree bottom-up with one weighted-projection loop
 ``counts`` combines the messages at the chosen root. ``fix`` narrows the
 tree's bags to one value of a variable; each directed message is kept and
 reused until a ``fix`` drops rows on its side, so selection makes one tree
-per call. Construction happens in three steps:
+per call, and a message from a narrowed side first prunes the bag it feeds
+to the rows it can extend. Construction happens in three steps:
 
 1. *Full reduction* — semi-join passes over the directed edges of a join tree
    of the atoms (up, then down), so every surviving row takes part in at
@@ -89,7 +90,7 @@ class ReducedAtom:
     @cached_property
     def rows(self) -> dict[tuple, int]:
         tree, u = self.leaf
-        return _tupled(tree._combine(u, self.vars, (), {}), len(self.vars))
+        return _tupled(tree._combine(u, self.vars, (), {}, {}), len(self.vars))
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,12 @@ class CountingTree:
     serve as the root of ``messages``.
     Separators are keyed in one canonical variable order — the head first,
     then the other variables by first occurrence — so a message toward the
-    head comes out in head order. ``fix`` narrows the tables in place; each
-    directed message is kept with the nodes on its side and reused until a
-    ``fix`` drops rows from one of them. Every pass and ``fix`` adds the rows
+    head comes out in head order. ``fix`` narrows the tables in place and
+    remembers the nodes it dropped rows from (``narrowed``); each directed
+    message is kept with the nodes on its side and reused until a ``fix``
+    drops rows from one of them. A message from a side that holds a narrowed
+    node prunes the bag it feeds before the product stream (``_combine``);
+    other sides keep the single pass. Every pass and ``fix`` adds the rows
     it scans to the tree's ``stats``, when it has one.
     """
 
@@ -146,6 +150,7 @@ class CountingTree:
         self.tree = tree
         self.vars = tuple(vars_list)
         self.tables, self.stats = tables, stats
+        self.narrowed: set[int] = set()  # nodes some ``fix`` dropped rows from
         self._canon = tuple(dict.fromkeys(chain(head, *vars_list)))
         self._cache: dict[tuple[int, int], tuple[frozenset, dict]] = {}
 
@@ -168,18 +173,28 @@ class CountingTree:
                 self.tables[u] = [r for r in table if r[pos] == value]
                 if len(self.tables[u]) < len(table):
                     narrowed.add(u)
+        self.narrowed |= narrowed
         self._cache = {e: hit for e, hit in self._cache.items() if narrowed.isdisjoint(hit[0])}
 
-    def _combine(self, u, out_vars, children, msg):
+    def _combine(self, u, out_vars, children, msg, side):
         """The weighted projection: Σ over the bag's rows of the product of
         the child messages, per value of ``out_vars``, keyed by ``_key``.
-        Rows that some child cannot extend drop out."""
+        Rows that some child cannot extend drop out. A child whose side
+        (``side[c]``, its subtree's nodes) holds a narrowed node first prunes
+        the bag to the rows whose separator key its message holds, in one
+        C-level pass; the pruned rows weigh 0, so the result is the same and
+        the product stream runs over the survivors only. A bag's rows count
+        as touched once, pruned or not."""
         table = self.tables[u]
         if self.stats is not None:
             self.stats.rows_touched += len(table)
         if not children:  # one C-level count; a leaf over its own vars in order keys by row
             own = out_vars == self.vars[u] and len(out_vars) != 1
             return Counter(table if own else map(self.key(u, out_vars), table))
+        for c in children:
+            if not self.narrowed.isdisjoint(side[c]):
+                keys = map(self.key(u, self.separator(u, c)), table)
+                table = list(compress(table, map(msg[c].__contains__, keys)))
         streams = (map(msg[c].get, map(self.key(u, self.separator(u, c)), table), repeat(0))
                    for c in children)  # one lazy product stream: no per-row Python frame
         weights = reduce(partial(map, mul), streams)
@@ -193,7 +208,8 @@ class CountingTree:
     def messages(self, root: int):
         """Counting messages toward ``root``: for every other node u, the
         weighted number of ways u's subtree extends each value of u's
-        separator with its parent. Also returns the rooted children lists."""
+        separator with its parent. Also returns the rooted children lists
+        and each node's side (the nodes of its subtree)."""
         tree = self.tree.rerooted(root)
         children = tree.children()
         msg: dict[int, dict] = {}
@@ -203,16 +219,16 @@ class CountingTree:
             hit = self._cache.get(edge)
             if hit is None:
                 nodes = frozenset([u]).union(*(side[c] for c in children[u]))
-                m = self._combine(u, self.separator(*edge), children[u], msg)
+                m = self._combine(u, self.separator(*edge), children[u], msg, side)
                 hit = self._cache[edge] = (nodes, m)
             side[u], msg[u] = hit
-        return msg, children
+        return msg, children, side
 
     def counts(self, root: int, out_vars) -> dict:
         """Answer count per value of ``out_vars`` (variables of node
         ``root``), keyed by ``_key``."""
-        msg, children = self.messages(root)
-        return self._combine(root, out_vars, children[root], msg)
+        msg, children, side = self.messages(root)
+        return self._combine(root, out_vars, children[root], msg, side)
 
 
 def atom_tree(q: Query, bound, mode: str, stats: Stats | None = None) -> CountingTree:
@@ -317,16 +333,23 @@ def _build_tables(q: Query, rdb: ReducedDB, order, stats: Stats | None):
 
         # weights of the other atoms settled at w_i, then the child subtree
         # totals; all their vars lie in ν ∪ {w_i}, so they key off the
-        # candidate's row (v, then ν). After full reduction every key is there.
+        # candidate's row (v, then ν). A child total keyed by w_i alone keys
+        # off the candidate's 1-tuple (v,) instead, with no ν to add per
+        # candidate. After full reduction every key is there.
         pvars = (w,) + nset
+        alone = _key((w,), (w,))
+        direct = [totals[c] for c in children[i] if vt.nsets[c] == (w,)]
         lookups = [(_proj(pvars, rdb.atoms[ai].vars), rdb.atoms[ai].rows)
                    for ai in vt.assigned[i] if ai != a]
-        lookups += [(_key(pvars, vt.nsets[c]), totals[c]) for c in children[i]]
+        lookups += [(_key(pvars, vt.nsets[c]), totals[c]) for c in children[i]
+                    if vt.nsets[c] != (w,)]
 
         gmap: dict = {}
         for nu, gv in weights.items():
             values = _sort_values(gv, stats)
             gs = map(gv.__getitem__, values)
+            for m in direct:
+                gs = map(mul, gs, map(m.__getitem__, map(alone, zip(values))))
             if lookups:  # values are never tuples; a ν key over one var is one
                 cands = list(map(tuple.__add__, zip(values), repeat(nu if type(nu) is tuple else (nu,))))
                 for key, m in lookups:

@@ -6,8 +6,10 @@ rank into a value block. The counts come from the counting kernel that direct
 access builds on: one call builds one ``engine.CountingTree`` over the atoms'
 bags (the relations' own rows, nothing counted up front), counts at an atom
 holding the variable, and narrows the tree to the chosen value (``fix``), so
-each later step scans only the surviving rows and reuses every message whose
-side lost none. A caller's ``Stats`` is handed to that tree, which counts the
+each later step scans only the surviving rows, reuses every message whose
+side lost none, and runs its product stream only over the rows the narrowed
+messages can extend. ``weighted_select`` keys each candidate once per call.
+A caller's ``Stats`` is handed to that tree, which counts the
 rows its passes and fixes touch. The variable sequence is the same
 deterministic tie-break order the direct-access engine uses, so both produce
 identical tuples wherever both are routed.
@@ -48,24 +50,24 @@ def conditional_value_counts(
 
 def weighted_select(items, k: int, rng, key=None):
     """Value whose block (ordering items by value) contains rank k, plus the
-    offset of k inside that block. Random-pivot partitioning, no sorting."""
+    offset of k inside that block. Random-pivot partitioning, no sorting;
+    each item's order key (``key``, else ``value_key``) is computed once."""
     total = sum(w for _, w in items)
     if k < 0 or k >= total:
         raise KOutOfRange(k, total)
     keyf = key if key is not None else value_key
-    work = list(items)
+    work = [(keyf(v), v, w) for v, w in items]
     while True:
-        pivot = work[rng.randrange(len(work))][0]
-        pk = keyf(pivot)
+        pk, pivot, _ = work[rng.randrange(len(work))]
         lt, gt = [], []
         wlt = weq = 0
-        for v, w in work:
-            kv = keyf(v)
+        for item in work:
+            kv, _, w = item
             if kv < pk:
-                lt.append((v, w))
+                lt.append(item)
                 wlt += w
             elif kv > pk:
-                gt.append((v, w))
+                gt.append(item)
             else:
                 weq += w
         if k < wlt:

@@ -150,3 +150,15 @@ def test_bench_runs_orders_direct_lex_cannot_build(order, unrouted):
             assert r["error"] == "NotRouted" and not r.get("verified"), r
         else:
             assert not r.get("error") and r["verified"] is True, r
+
+
+def test_committed_bench_results_name_their_command_machine_and_commits():
+    """Every ``BENCH_*.json`` at the repository root parses and says how it
+    was measured: the command, the machine and the commits compared."""
+    from pathlib import Path
+
+    files = sorted((Path(__file__).resolve().parent.parent).glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        result = json.loads(path.read_text(encoding="utf-8"))
+        assert {"command", "machine", "commits"} <= result.keys(), path.name

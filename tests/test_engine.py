@@ -97,9 +97,10 @@ def test_reduced_db_invariants_random(q2path):
                 ), (atom.vars, row)
 
 
-def _general_combine(self, u, out_vars, children, msg):
-    """``CountingTree._combine`` with no pass-through: every row of the bag
-    weighs 1 and is keyed."""
+def _general_combine(self, u, out_vars, children, msg, *_):
+    """``CountingTree._combine`` with no pass-through and no pruning: every
+    row of the bag weighs 1 and is keyed. Extra arguments (the children's
+    sides) are ignored."""
     key = self.key(u, out_vars)
     kids = [(self.key(u, self.separator(u, c)), msg[c]) for c in children]
     out = {}
@@ -593,6 +594,48 @@ def _assert_tuple_keyed(out):
             _, nsets, groups = val
             assert all(type(nu) is tuple and len(nu) == len(nsets[i])
                        for i, gm in enumerate(groups) for nu, *_ in gm)
+
+
+class _CountedGets(dict):
+    """A message that counts its ``get`` calls: the product stream makes one
+    per row that reaches it."""
+
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+def test_a_fix_prunes_the_rows_its_message_rules_out(q3path):
+    """``lex: A,C,B,D`` counts C at S after ``fix("A", a)``. Only the S rows
+    whose B occurs in R's narrowed rows reach S's product stream; the counts
+    equal a brute force and the rows touched are those of the full pass."""
+    from cqrank.analysis import SINGLE_LEX
+    from cqrank.bench import GenConfig, generate_instance
+    from cqrank.engine import atom_tree
+    from cqrank.model import bound_atoms
+
+    db = generate_instance(GenConfig(2000, "small", 3))
+    rows_R, rows_S, rows_T = (db.relations[n].rows for n in "RST")
+    R, S, T = 0, 1, 2
+    for a in sorted({a for a, _ in rows_R})[::40]:
+        stats = Stats()
+        ct = atom_tree(q3path, bound_atoms(q3path, db), SINGLE_LEX, stats)
+        ct.fix("A", a)
+        narrowed = [r for r in rows_R if r[0] == a]
+        bs = {b for _, b in narrowed}
+        ct.messages(S)  # T's message toward S is kept; swap in a counting copy
+        nodes, m = ct._cache[T, S]
+        spy = _CountedGets(m)
+        ct._cache[T, S] = (nodes, spy)
+        got = ct.counts(S, ("C",))
+
+        brute = Counter(c for _, b in narrowed for b2, c in rows_S if b2 == b
+                        for c2, _ in rows_T if c2 == c)
+        assert got == dict(brute)
+        assert 0 < spy.gets <= sum(b in bs for b, _ in rows_S) < len(rows_S)
+        assert stats.rows_touched == len(rows_R) + len(narrowed) + len(rows_T) + len(rows_S)
 
 
 @pytest.mark.parametrize("text,orders", [

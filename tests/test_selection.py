@@ -66,6 +66,51 @@ def test_weighted_select_matches_sort_walk_bulk():
         assert weighted_select(items, k, rng) == _select_oracle(items, k)
 
 
+def _keyed_per_round_select(items, k, rng, key=value_key):
+    """``weighted_select`` as it was before each key was computed once: the
+    key of every item is taken again in every partition round."""
+    work = list(items)
+    while True:
+        pivot = work[rng.randrange(len(work))][0]
+        lt = [(v, w) for v, w in work if key(v) < key(pivot)]
+        gt = [(v, w) for v, w in work if key(v) > key(pivot)]
+        wlt = sum(w for _, w in lt)
+        weq = sum(w for v, w in work if key(v) == key(pivot))
+        if k < wlt:
+            work = lt
+        elif k < wlt + weq:
+            return pivot, k - wlt
+        else:
+            k, work = k - wlt - weq, gt
+
+
+@pytest.mark.parametrize("kind", ["int", "str", "mixed"])
+def test_weighted_select_keys_once_and_keeps_its_pivot_draws(kind):
+    """Equal to the sorted walk for random weighted items, with the same
+    random draws as the per-round keying, and ``key`` called once per item."""
+    draw = {
+        "int": lambda rng: rng.randint(-30, 30),
+        "str": lambda rng: rng.choice("abcdefgh") * rng.randint(1, 2),
+        "mixed": lambda rng: rng.choice([rng.randint(-9, 9), rng.choice("xyz")]),
+    }[kind]
+    keyed = []
+
+    def key(v):
+        keyed.append(v)
+        return value_key(v)
+
+    for seed in range(400):
+        rng = random.Random(seed)
+        items = [(draw(rng), rng.randint(1, 5)) for _ in range(rng.randint(1, 40))]
+        k = rng.randrange(sum(w for _, w in items))
+        mine, theirs = random.Random(seed), random.Random(seed)
+        keyed.clear()
+        assert weighted_select(items, k, mine, key=key) == _select_oracle(items, k)
+        assert len(keyed) == len(items)
+        assert _keyed_per_round_select(items, k, theirs) == _select_oracle(items, k)
+        assert mine.getstate() == theirs.getstate()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_weighted_select_property(data):
