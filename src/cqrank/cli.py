@@ -63,8 +63,15 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_access(args) -> int:
+def _timed_load(args):
+    """``_load`` and its wall time in ms, for ``--stats``."""
+    t0 = time.perf_counter()
     q, o, db = _load(args)
+    return q, o, db, (time.perf_counter() - t0) * 1000.0
+
+
+def cmd_access(args) -> int:
+    q, o, db, load_ms = _timed_load(args)
     t0 = time.perf_counter()
     index = build_index(q, db, o)
     pre_ms = (time.perf_counter() - t0) * 1000.0
@@ -82,6 +89,7 @@ def cmd_access(args) -> int:
             "probes": stats.probes,
             "comparisons": counted.build_stats.comparisons,
             "preprocess_ms": round(pre_ms, 3),
+            "load_ms": round(load_ms, 3),
         })
     return 0
 
@@ -93,7 +101,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_select(args) -> int:
-    q, o, db = _load(args)
+    q, o, db, load_ms = _timed_load(args)
     report = analyze(q, o)
     fn = select_lex if o.kind == LEX else select_sum
     stats = Stats() if args.stats else None
@@ -108,7 +116,11 @@ def cmd_select(args) -> int:
         select_s += time.perf_counter() - t0
         _emit(line)
     if args.stats:
-        _emit({"rows_touched": stats.rows_touched, "select_ms": round(select_s * 1000.0, 3)})
+        _emit({
+            "rows_touched": stats.rows_touched,
+            "select_ms": round(select_s * 1000.0, 3),
+            "load_ms": round(load_ms, 3),
+        })
     return 0
 
 
@@ -181,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("access", help="ranked direct access at positions k")
     common(sp, k=True)
-    sp.add_argument("--stats", action="store_true", help="report probes/comparisons/preprocess_ms")
+    sp.add_argument("--stats", action="store_true", help="report probes/comparisons/preprocess_ms/load_ms")
     sp.set_defaults(fn=cmd_access)
 
     sp = sub.add_parser("count", help="total number of answers")
@@ -191,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("select", help="single access (selection) at positions k")
     common(sp, k=True)
     sp.add_argument("--seed", type=int, default=None, help="pivot RNG seed")
-    sp.add_argument("--stats", action="store_true", help="report rows_touched/select_ms")
+    sp.add_argument("--stats", action="store_true", help="report rows_touched/select_ms/load_ms")
     sp.set_defaults(fn=cmd_select)
 
     sp = sub.add_parser("baseline", help="reference strategies")

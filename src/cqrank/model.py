@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import gc
 import re
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, count, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -67,6 +68,14 @@ class Relation:
         if set(map(len, rows)) - {arity}:
             bad = next(r for r in rows if len(r) != arity)
             raise ArityMismatch(self.name, len(bad), arity)
+
+    @classmethod
+    def _of_rows(cls, name, columns, rows):
+        """A relation whose ``rows`` are already a tuple of exact tuples of
+        ``len(columns)`` values each, built without ``__post_init__``'s walk."""
+        rel = object.__new__(cls)
+        rel.__dict__.update(name=name, columns=columns, rows=rows)
+        return rel
 
     @property
     def arity(self) -> int:
@@ -289,50 +298,68 @@ def read_utf8(path) -> str:
 def load_relation(path, name: str) -> Relation:
     """Load a header-first CSV file (comma-separated, no quoting) in file order.
 
-    When at most half of the cells are distinct, each distinct cell text is
-    parsed once and equal cells load as one shared value object; otherwise
-    each cell is parsed on its own, as a lookup table would not pay."""
-    text = read_utf8(path)
-    lines = text.replace("\r\n", "\n").split("\n")
+    The body is checked as one grid: each line break becomes a cell of its
+    own, and the file loads only when those break cells fall after every
+    ``arity`` cells, ``arity`` being the header's cell count. Otherwise
+    ``RaggedRow`` names the first line (1-based, the header is line 1) whose
+    cell count differs, and that count. When at most half of the cells are
+    distinct, each distinct cell text is parsed once and equal cells load as
+    one shared value object; otherwise each cell is parsed on its own, as a
+    lookup table would not pay."""
+    # a final newline ends the last row; it starts no empty one
+    text = read_utf8(path).replace("\r\n", "\n").removesuffix("\n")
+    header, newline, body = text.partition("\n")
     del text
-    if lines and lines[-1] == "":
-        lines.pop()  # trailing newline, not an empty row
-    if not lines or lines[0] == "" or any(c == "" for c in lines[0].split(",")):
+    columns = tuple(header.split(","))
+    if "" in columns:
         raise EmptyHeader(path)
-    columns = tuple(lines.pop(0).split(","))
-    arity = len(columns)
-    commas = list(map(str.count, lines, repeat(",")))
-    if commas.count(arity - 1) != len(commas):
-        i = next(i for i, c in enumerate(commas) if c != arity - 1)
-        raise RaggedRow(i + 2, commas[i] + 1, arity)  # line 1 is the header
-    if not lines:  # "".split(",") would read one empty cell
+    if not newline:  # no body: "".split(",") would read one empty cell
         return Relation(name, columns, ())
-    cells = ",".join(lines).split(",")
-    del lines
+    arity = len(columns)
+    nlines = body.count("\n") + 1
+    cells = body.replace("\n", ",\n,").split(",")
+    if len(cells) != nlines * (arity + 1) - 1 or cells[arity::arity + 1].count("\n") != nlines - 1:
+        raise _ragged_row(body, arity)
+    del body, cells[arity::arity + 1]
     parsed = dict.fromkeys(cells)
     try:
         if 2 * len(parsed) > len(cells):
             del parsed
-            values = map(parse_cell, cells)
+            is_int = list(map(bool, map(_INT_RE.fullmatch, cells)))
+            # write each int over its text, in place; consumed by a zero-length deque
+            deque(map(cells.__setitem__, compress(count(), is_int), map(int, compress(cells, is_int))), 0)
+            values = iter(cells)
         else:
-            for c in parsed:
-                parsed[c] = parse_cell(c)
+            texts = list(parsed)
+            ints = list(compress(texts, map(_INT_RE.fullmatch, texts)))
+            parsed = dict(zip(texts, texts))
+            parsed.update(zip(ints, map(int, ints)))
             values = map(parsed.__getitem__, cells)
         # one iterator zipped with itself: consecutive runs of `arity` values
         rows = tuple(zip(*[values] * arity))
     except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
         raise _integer_too_long(path, cells, arity) from None
-    return Relation(name, columns, rows)
+    return Relation._of_rows(name, columns, rows)
+
+
+def _ragged_row(body, arity) -> RaggedRow:
+    """The error naming the first body line without ``arity`` cells; found
+    only on this error path, so the grid check above walks no line."""
+    for i, line in enumerate(body.split("\n"), start=2):  # line 1 is the header
+        if line.count(",") != arity - 1:
+            return RaggedRow(i, line.count(",") + 1, arity)
 
 
 def _integer_too_long(path, cells, arity) -> IntegerTooLong:
     """The error naming the line of the first cell ``parse_cell`` refuses;
-    found only on this error path, so the parse above checks nothing per cell."""
+    found only on this error path, so the parse above checks nothing per cell.
+    Cells before it may already hold their ints."""
     for i, c in enumerate(cells):
-        try:
-            parse_cell(c)
-        except ValueError:
-            return IntegerTooLong(path, i // arity + 2)  # line 1 is the header
+        if isinstance(c, str):
+            try:
+                parse_cell(c)
+            except ValueError:
+                return IntegerTooLong(path, i // arity + 2)  # line 1 is the header
 
 
 @_no_gc()

@@ -42,7 +42,7 @@ def test_cli_access_with_stats(workspace, capsys):
     assert lines[1] == {"k": 2, "answer": {"A": 1, "B": 2, "C": 30}}
     assert lines[2] == {"k": 9, "error": "out_of_range"}
     stats = lines[3]
-    assert set(stats) == {"probes", "comparisons", "preprocess_ms"}
+    assert set(stats) == {"probes", "comparisons", "preprocess_ms", "load_ms"}
     assert stats["probes"] > 0 and stats["comparisons"] > 0
 
 
@@ -222,7 +222,7 @@ def test_cli_select_stats(workspace, capsys):
     first, second, stats = _lines(capsys)
     assert first == {"k": 1, "answer": {"A": 1, "B": 2, "C": 20}}
     assert second == {"k": 9, "error": "out_of_range"}
-    assert set(stats) == {"rows_touched", "select_ms"}
+    assert set(stats) == {"rows_touched", "select_ms", "load_ms"}
     assert stats["rows_touched"] >= 2 * 6  # each call collapses both relations' rows
     assert isinstance(stats["select_ms"], float) and stats["select_ms"] > 0
 

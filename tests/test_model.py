@@ -219,11 +219,13 @@ _cell = st.text(alphabet="0123456789+-ab _\u0661\u0662\r", max_size=4)
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
-@example(data=None)  # header only, no final newline
+@example(data="A,B")  # header only, no final newline
+@example(data="A,B\n1,2,3\n4\n")  # ragged rows whose cells add up to two whole rows
+@example(data="A\n1,2\n")  # two cells: two whole rows by count alone
 def test_load_relation_matches_line_by_line_reference(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
-    if data is None:
-        text = "A,B"
+    if isinstance(data, str):  # an example gives the file's text
+        text = data
     else:
         arity = data.draw(st.integers(1, 3))
         header = data.draw(st.lists(st.sampled_from(["A", "B", "c", ""]),
@@ -236,7 +238,12 @@ def test_load_relation_matches_line_by_line_reference(tmp_path_factory, data):
         lines = [",".join(header)] + [",".join(r) for r in rows]
         text = newline.join(lines) + (newline if data.draw(st.booleans()) else "")
     path.write_bytes(text.encode("utf-8"))
-    assert _outcome(load_relation, path) == _outcome(_reference_load, path), repr(text)
+    got = _outcome(load_relation, path)
+    assert got == _outcome(_reference_load, path), repr(text)
+    if isinstance(got[0], tuple):  # loaded: the checked constructor must agree
+        r = load_relation(path, "T")
+        assert type(r.rows) is tuple and all(type(row) is tuple for row in r.rows)
+        assert Relation(r.name, r.columns, r.rows) == r
 
 
 def test_load_relation_blank_lines_and_header_only(tmp_path):
