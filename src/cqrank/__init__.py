@@ -32,7 +32,6 @@ from .engine import (
 )
 from .errors import (
     CqError,
-    KOutOfRange,
     NotApplicable,
     NotRouted,
     OutOfRange,
@@ -69,7 +68,6 @@ __all__ = [
     "CqError",
     "GenConfig",
     "Instance",
-    "KOutOfRange",
     "NotApplicable",
     "NotRouted",
     "OrderSpec",

@@ -339,16 +339,14 @@ class VariableTree:
 
 def build_variable_tree(q: Query, order) -> VariableTree:
     order = tuple(order)
+    if (trio := find_disruptive_trio(q, order)) is not None:
+        raise AssertionError(f"order {order} has the disruptive trio {trio}")
     pos = {v: i for i, v in enumerate(order)}
     adj = head_adjacency(q)
 
     nsets, parent, anchor = [], [], []
     for i, w in enumerate(order):
         ns = sorted((x for x in adj[w] if pos[x] < i), key=pos.get)
-        for a in range(len(ns)):
-            for b in range(a + 1, len(ns)):
-                if ns[b] not in adj[ns[a]]:
-                    raise AssertionError(f"order {order} is not trio-free at {w}: {ns[a]},{ns[b]}")
         nsets.append(tuple(ns))
         parent.append(pos[ns[-1]] if ns else None)
         need = set(ns) | {w}

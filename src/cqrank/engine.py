@@ -39,8 +39,9 @@ to the rows it can extend. Construction happens in three steps:
 Access walks w maintaining the residual rank k' and the multiplier M of the
 still-pending subtrees: the block of answers with w_i = v has width M·g(ν,v),
 so one counting binary search per variable pins the value. A single-atom sum
-order is blocks on the same index: the sum anchor's assignments, ranked by
-(weight sum, values), form one first level, and the descent completes each.
+order is blocks on the same index: the sum anchor's assignments, sorted by
+``sum_blocks``' rank key (weight sum, values), form one first level, and the
+descent completes each.
 
 Join keys: inside the kernel (counting messages, the stage 1 key sets, the ν
 groups and child totals of stage 3) a key over exactly one variable is the
@@ -283,14 +284,14 @@ def _reduce(q: Query, db: Instance) -> tuple[CountingTree, ReducedDB]:
 
 
 def sum_blocks(q: Query, ct: CountingTree, report: TractabilityReport):
-    """The sum-anchor atom's head variables (head order), and per distinct
-    value of them ``((rank key, values), answer count)``. The rank key orders
-    the blocks by weight sum, then by the values."""
+    """``(prefix, blocks, rank)``: the sum-anchor atom's head variables (head
+    order), one ``(values, answer count)`` pair per distinct value of them,
+    and the blocks' rank key ``rank(values) = (weight sum, tuple_key(values))``."""
     anchor = report.sum_anchor
     prefix = tuple(v for v in q.head if v in ct.vars[anchor])
     wpos = [prefix.index(v) for v in report.order.vars]
     blocks = _tupled(ct.counts(anchor, prefix), len(prefix))
-    return prefix, [(((sum(p[i] for i in wpos), tuple_key(p)), p), w) for p, w in blocks.items()]
+    return prefix, blocks.items(), lambda p: (sum(p[i] for i in wpos), tuple_key(p))
 
 
 class _Group:
@@ -400,8 +401,8 @@ class AccessIndex:
     build_stats: Stats | None  # set on builds that count comparisons
     anchor_vals: list[tuple] = field(default_factory=list)
     cums: list[int] = field(default_factory=list)
-    _npos: list[tuple[int, ...]] = field(default_factory=list)
-    _head_pick: tuple[int, ...] = ()
+    _npos: list[tuple[int, ...]] = field(init=False)
+    _head_pick: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         pos = {v: i for i, v in enumerate(self.order)}
@@ -453,19 +454,18 @@ def _preprocess(q: Query, db: Instance, report: TractabilityReport, mode: str,
     if mode == DIRECT_SUM:
         check_weight_columns(q, db, report.order)
     ct, rdb = _reduce(q, db)
-    prefix, items = sum_blocks(q, ct, report) if mode == DIRECT_SUM else ((), [])
+    prefix, blocks, rank = sum_blocks(q, ct, report) if mode == DIRECT_SUM else ((), [], None)
     del ct  # free its count messages before the candidate tables are built
     stats = Stats() if count_comparisons else None
     order = report.completed_order
     vt, groups, count = _build_tables(q, rdb, order, stats)
-    items = sorted_counted(items, key=itemgetter(0), stats=stats)
-    cums = list(accumulate(map(itemgetter(1), items)))
+    blocks = sorted_counted(blocks, key=lambda b: rank(b[0]), stats=stats)
+    cums = list(accumulate(map(itemgetter(1), blocks)))
     if order[:len(prefix)] != prefix:
         raise AssertionError("sum order must start with the anchor atom's head variables")
     if mode == DIRECT_SUM and (cums[-1] if cums else 0) != count:
         raise AssertionError("anchor extension counts must add up to the answer count")
-    anchor_vals = [vals for (_, vals), _ in items]
-    return AccessIndex(q, order, vt, groups, count, stats, anchor_vals, cums)
+    return AccessIndex(q, order, vt, groups, count, stats, list(map(itemgetter(0), blocks)), cums)
 
 
 @_no_gc()

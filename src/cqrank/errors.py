@@ -105,10 +105,6 @@ class OutOfRange(CqError):
         self.count = count
 
 
-class KOutOfRange(OutOfRange):
-    """weighted_select rank outside the cumulative weight range."""
-
-
 # --- baselines ---
 
 class ResultTooLarge(CqError):

@@ -8,11 +8,13 @@ bags (the relations' own rows, nothing counted up front), counts at an atom
 holding the variable, and narrows the tree to the chosen value (``fix``), so
 each later step scans only the surviving rows, reuses every message whose
 side lost none, and runs its product stream only over the rows the narrowed
-messages can extend. ``weighted_select`` keys each candidate once per call.
-A caller's ``Stats`` is handed to that tree, which counts the
-rows its passes and fixes touch. The variable sequence is the same
-deterministic tie-break order the direct-access engine uses, so both produce
-identical tuples wherever both are routed.
+messages can extend. ``weighted_select`` keys each candidate once per call
+and owns the range check: the first step's candidates sum to the answer
+count. A sum order's first step picks one of ``sum_blocks``' anchor blocks
+by the rank key the index sorts them by. A caller's ``Stats`` is handed to
+that tree, which counts the rows its passes and fixes touch. The variable
+sequence is the same deterministic tie-break order the direct-access engine
+uses, so both produce identical tuples wherever both are routed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import random
 
 from .analysis import SINGLE_LEX, SINGLE_SUM, analyze
 from .engine import CountingTree, _check_routed, atom_tree, sum_blocks
-from .errors import KOutOfRange, OutOfRange
+from .errors import OutOfRange
 from .instrument import Stats
 from .model import AnswerTuple, Instance, OrderSpec, Query, bound_atoms, check_weight_columns, value_key
 
@@ -36,13 +38,12 @@ def conditional_value_counts(
     db: Instance,
     fixed: dict,
     x: str,
-    stats: Stats | None = None,
     _bound=None,
 ) -> list[tuple]:
     """(value, answer count) per candidate value of ``x`` consistent with
     ``fixed``, in first-occurrence order of the rooted atom. O(n) per call."""
     bound = _bound if _bound is not None else bound_atoms(q, db)
-    ct = atom_tree(q, bound, SINGLE_LEX, stats)
+    ct = atom_tree(q, bound, SINGLE_LEX)
     for var, value in fixed.items():
         ct.fix(var, value)
     return _value_counts(ct, x)
@@ -50,11 +51,12 @@ def conditional_value_counts(
 
 def weighted_select(items, k: int, rng, key=None):
     """Value whose block (ordering items by value) contains rank k, plus the
-    offset of k inside that block. Random-pivot partitioning, no sorting;
-    each item's order key (``key``, else ``value_key``) is computed once."""
+    offset of k inside that block; ``OutOfRange(k, total weight)`` when k is
+    outside the blocks. Random-pivot partitioning, no sorting; each item's
+    order key (``key``, else ``value_key``) is computed once."""
     total = sum(w for _, w in items)
     if k < 0 or k >= total:
-        raise KOutOfRange(k, total)
+        raise OutOfRange(k, total)
     keyf = key if key is not None else value_key
     work = [(keyf(v), v, w) for v, w in items]
     while True:
@@ -99,14 +101,8 @@ def select_lex(
     rng = random.Random(seed)
     ct = atom_tree(q, bound_atoms(q, db), SINGLE_LEX, stats)
     fixed: dict = {}
-    kp = k
-    for i, x in enumerate(report.tie_break_order):
-        items = _value_counts(ct, x)
-        if i == 0:
-            total = sum(w for _, w in items)
-            if k < 0 or k >= total:
-                raise OutOfRange(k, total)
-        fixed[x], kp = weighted_select(items, kp, rng=rng)
+    for x in report.tie_break_order:
+        fixed[x], k = weighted_select(_value_counts(ct, x), k, rng=rng)
         ct.fix(x, fixed[x])
     return AnswerTuple(q.head, tuple(fixed[v] for v in q.head))
 
@@ -127,16 +123,12 @@ def select_sum(
     check_weight_columns(q, db, report.order)
     rng = random.Random(seed)
     ct = atom_tree(q, bound_atoms(q, db), SINGLE_SUM, stats)
-    prefix, items = sum_blocks(q, ct, report)
-    total = sum(w for _, w in items)
-    if k < 0 or k >= total:
-        raise OutOfRange(k, total)
-
-    (_, vals), kp = weighted_select(items, k, rng=rng, key=lambda v: v[0])
+    prefix, blocks, rank = sum_blocks(q, ct, report)
+    vals, k = weighted_select(blocks, k, rng=rng, key=rank)
     fixed = dict(zip(prefix, vals))
     for x, v in fixed.items():
         ct.fix(x, v)
     for x in report.tie_break_order[len(prefix):]:
-        fixed[x], kp = weighted_select(_value_counts(ct, x), kp, rng=rng)
+        fixed[x], k = weighted_select(_value_counts(ct, x), k, rng=rng)
         ct.fix(x, fixed[x])
     return AnswerTuple(q.head, tuple(fixed[v] for v in q.head))

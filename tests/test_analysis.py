@@ -277,11 +277,26 @@ def _brute_first_trio(q, order):
 
 
 def test_find_disruptive_trio_is_the_first_position_triple():
+    """Also: ``build_variable_tree`` rejects a full order exactly when it has
+    a trio. Only free-connex queries must build a trio-free order: on others
+    the anchor check can fail for a reason of its own."""
     rng = random.Random(71)
+    built = rejected = 0
     for _ in range(600):
         q = _random_query_with_existentials(rng)
         order = rng.sample(q.head, rng.choice([len(q.head), rng.randint(0, len(q.head))]))
-        assert find_disruptive_trio(q, order) == _brute_first_trio(q, order), (q, order)
+        brute = _brute_first_trio(q, order)
+        assert find_disruptive_trio(q, order) == brute, (q, order)
+        if len(order) < len(q.head):
+            continue
+        if brute is not None:
+            with pytest.raises(AssertionError, match="disruptive trio"):
+                build_variable_tree(q, order)
+            rejected += 1
+        elif check_free_connex(q)[1]:
+            assert build_variable_tree(q, order).order == tuple(order), (q, order)
+            built += 1
+    assert built and rejected
 
 
 def test_complete_order_is_the_first_trio_free_permutation_in_head_order():

@@ -10,6 +10,7 @@ import pytest
 from cqrank.analysis import analyze
 from cqrank.bench import GenConfig, bench_query, generate_instance
 from cqrank.engine import preprocess_lex, preprocess_sum
+from cqrank.errors import OutOfRange
 from cqrank.instrument import Stats
 from cqrank.model import parse_order
 from cqrank.selection import select_lex, select_sum
@@ -49,3 +50,17 @@ def test_trio_selection_rows_touched_repeat_exactly(bench_db):
     for k in (0, 1000, 5000):
         select_lex(q, bench_db, o, k, seed=k, stats=stats)
     assert stats.rows_touched == 63_282
+
+
+@pytest.mark.parametrize("text", ["lex: A,B,C,D", "sum: A,B"])
+@pytest.mark.parametrize("k", [-1, COUNT])
+def test_out_of_range_names_k_and_the_answer_count(bench_db, text, k):
+    q = bench_query()
+    o = parse_order(text, q)
+    report = analyze(q, o)
+    preprocess, select = (preprocess_lex, select_lex) if o.kind == "lex" else (preprocess_sum, select_sum)
+    ix = preprocess(q, bench_db, report)
+    for call in (lambda: select(q, bench_db, o, k, seed=0, report=report), lambda: ix.access(k)):
+        with pytest.raises(OutOfRange) as info:
+            call()
+        assert (info.value.k, info.value.count) == (k, COUNT)

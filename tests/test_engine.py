@@ -559,8 +559,8 @@ def _kernel_outputs(q, db, orders):
             continue
         ix = build_index(q, db, o)
         if o.kind == "sum":
-            blocks = sum_blocks(q, atom_tree(q, bound_atoms(q, db), DIRECT_SUM), report)
-            out[o, "sum"] = (blocks, ix.anchor_vals, ix.cums)
+            prefix, blocks, rank = sum_blocks(q, atom_tree(q, bound_atoms(q, db), DIRECT_SUM), report)
+            out[o, "sum"] = ((prefix, [(rank(p), p, w) for p, w in blocks]), ix.anchor_vals, ix.cums)
         out[o] = (ix.count, ix.vtree.nsets,
                   [[(nu, g.values, g.cums) for nu, g in gm.items()] for gm in ix.groups])
     return out
@@ -589,7 +589,7 @@ def _assert_tuple_keyed(out):
         if isinstance(key, tuple) and key[1:] == ("sum",):
             (prefix, items), anchor_vals, _ = val
             assert all(type(p) is tuple and len(p) == len(prefix)
-                       for p in [p for (_, p), _ in items] + anchor_vals)
+                       for p in [p for _, p, _ in items] + anchor_vals)
         elif key not in ("reduced", "counts"):
             _, nsets, groups = val
             assert all(type(nu) is tuple and len(nu) == len(nsets[i])

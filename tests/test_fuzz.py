@@ -13,9 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cqrank.baseline import materialize_and_sort
 from cqrank.cli import main
 from cqrank.errors import CqError
-from cqrank.model import load_relation, parse_order, parse_query
+from cqrank.model import load_instance, load_relation, parse_order, parse_query
 
 OVER_LONG = "9" * 5000  # more digits than int() converts by default
 QUERIES = ["Q(A,B) :- R(A,B).", "Q(A,C) :- R(A,B), S(B,C).", "Q(A,B,C) :- R(A,B), S(B,C)."]
@@ -99,6 +100,8 @@ def _run_cli(argv) -> tuple[int, list[str]]:
        positions=_mostly(st.sampled_from(["0", "1,3", "0,99"]), _positions), extra=_extra)
 @example(command="count", query=QUERIES[0], order="lex: A,B", r_csv=f"A,B\n1,{OVER_LONG}\n".encode(),
          positions="0", extra=[])
+@example(command="count", query=QUERIES[2], order="lex: A,C,B", r_csv=b"A,B\n1,1\n2,1\n22,22\n",
+         positions="0", extra=[])  # a trio order, which direct access cannot serve
 def test_cli_speaks_json_or_exits_2(tmp_path_factory, command, query, order, r_csv, positions, extra):
     work = tmp_path_factory.mktemp("cli")
     (work / "q.cq").write_text(query, encoding="utf-8")
@@ -119,3 +122,7 @@ def test_cli_speaks_json_or_exits_2(tmp_path_factory, command, query, order, r_c
     docs = [json.loads(line) for line in lines]
     if rc == 1:  # a refused input is one error line, after any per-position lines
         assert set(docs[-1]) == {"error", "detail"}, (argv, docs)
+    if command == "count" and rc == 0:  # the count is the oracle's, whatever the order
+        q = parse_query(query)
+        want = len(materialize_and_sort(q, load_instance(work, q), parse_order(order, q)))
+        assert docs == [{"count": want}], (argv, docs)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cqrank.analysis import DIRECT_LEX, DIRECT_SUM, SINGLE_LEX, SINGLE_SUM, analyze
 from cqrank.baseline import materialize_and_sort
 from cqrank.engine import preprocess_lex, preprocess_sum
-from cqrank.errors import KOutOfRange, NotRouted, OutOfRange
+from cqrank.errors import NotRouted, OutOfRange
 from cqrank.instrument import Stats
 from cqrank.model import Instance, Relation, parse_order, parse_query, value_key
 from cqrank.selection import (
@@ -39,9 +39,9 @@ def test_weighted_select_examples():
     assert weighted_select(items, 0, rng) == (1, 0)
     assert weighted_select(items, 3, rng) == (2, 2)
     assert weighted_select(items, 6, rng) == (3, 1)
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(OutOfRange):
         weighted_select(items, 7, rng)
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(OutOfRange):
         weighted_select(items, -1, rng)
 
 
