@@ -39,40 +39,22 @@ class JoinTree:
     parent: tuple[int | None, ...]
     root: int
 
-    def children(self) -> list[list[int]]:
-        ch = [[] for _ in self.node_vars]
-        for i, p in enumerate(self.parent):
-            if p is not None:
-                ch[p].append(i)
-        return ch
-
-    def postorder(self) -> list[int]:
-        ch = self.children()
-        out, stack = [], [self.root]
+    def walk(self, root: int) -> tuple[list[int | None], list[list[int]], list[int]]:
+        """One DFS from ``root``: each node's parent (``None`` at ``root``),
+        its children in node order, and a postorder that ends with ``root``."""
+        n, up = len(self.parent), self.parent
+        parent: list[int | None] = [None] * n
+        children: list[list[int]] = [[] for _ in range(n)]
+        order, stack = [], [root]
         while stack:
-            n = stack.pop()
-            out.append(n)
-            stack.extend(ch[n])
-        out.reverse()
-        return out
-
-    def rerooted(self, new_root: int) -> "JoinTree":
-        adj = [[] for _ in self.node_vars]
-        for i, p in enumerate(self.parent):
-            if p is not None:
-                adj[i].append(p)
-                adj[p].append(i)
-        parent = [None] * len(self.node_vars)
-        seen = {new_root}
-        stack = [new_root]
-        while stack:
-            n = stack.pop()
-            for m in adj[n]:
-                if m not in seen:
-                    seen.add(m)
-                    parent[m] = n
-                    stack.append(m)
-        return JoinTree(self.node_vars, tuple(parent), new_root)
+            u = stack.pop()
+            order.append(u)
+            children[u] = [v for v in range(n) if v != parent[u] and (up[v] == u or up[u] == v)]
+            for v in children[u]:
+                parent[v] = u
+            stack.extend(children[u])
+        order.reverse()
+        return parent, children, order
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 
 from .analysis import check_free_connex, effective_order
 from .engine import _proj
@@ -177,22 +178,17 @@ def sort_before_join_access(q: Query, db: Instance, o: OrderSpec, k: int):
     split = max(bpos, 1)
     inter = sorted(_extend(rows, steps[:split - 1]), key=lambda t: value_key(t[bpos]))
 
-    hb = q.head.index(b)
-    emitted = 0
-    block: list[tuple] = []
+    answers = map(_proj(plan_vars, q.head), _extend(inter, steps[split - 1:]))
     block_start = 0
-    for ans in map(_proj(plan_vars, q.head), _extend(inter, steps[split - 1:])):
-        if block and value_key(ans[hb]) != value_key(block[-1][hb]):
-            if emitted > k:
-                break
-            block_start = emitted
-            block = []
-        block.append(ans)
-        emitted += 1
-    if emitted <= k:
-        raise OutOfRange(k, emitted)
+    for _, group in groupby(answers, key=itemgetter(q.head.index(b))):
+        block = list(group)
+        if 0 <= k < block_start + len(block):
+            break
+        block_start += len(block)
+    else:
+        raise OutOfRange(k, block_start)
     block.sort(key=sort_key_fn(q, o))
-    log = EarlyStopLog(emitted=emitted, block_size=len(block))
+    log = EarlyStopLog(emitted=block_start + len(block), block_size=len(block))
     return AnswerTuple(q.head, block[k - block_start]), log
 
 

@@ -19,7 +19,7 @@ from .baseline import (
     topk_heap_access,
 )
 from .engine import build_index
-from .errors import CqError, InvalidPositions, OutOfRange
+from .errors import CqError, InvalidPositions, NotRouted, OutOfRange
 from .instrument import Stats
 from .model import (
     LEX,
@@ -96,7 +96,11 @@ def cmd_access(args) -> int:
 
 def cmd_count(args) -> int:
     q, o, db = _load(args)  # the count is the same under every order: no index
-    _emit({"count": sum(c for _, c in conditional_value_counts(q, db, {}, q.head[0]))})
+    try:
+        counts = conditional_value_counts(q, db, {}, q.head[0])
+    except NotRouted as exc:  # the counting tree is built in selection's name
+        raise NotRouted("count", exc.reasons) from None
+    _emit({"count": sum(c for _, c in counts)})
     return 0
 
 
@@ -178,10 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cqrank", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, data=True, order=True, k=False):
+    def common(sp, data=True, k=False):
         sp.add_argument("--query", required=True, help="query file (.cq)")
-        if order:
-            sp.add_argument("--order", required=True, help="'lex: V1,...' or 'sum: V1,...'")
+        sp.add_argument("--order", required=True, help="'lex: V1,...' or 'sum: V1,...'")
         if data:
             sp.add_argument("--data", required=True, help="directory with <relation>.csv files")
         if k:

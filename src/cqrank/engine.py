@@ -209,14 +209,14 @@ class CountingTree:
     def messages(self, root: int):
         """Counting messages toward ``root``: for every other node u, the
         weighted number of ways u's subtree extends each value of u's
-        separator with its parent. Also returns the rooted children lists
-        and each node's side (the nodes of its subtree)."""
-        tree = self.tree.rerooted(root)
-        children = tree.children()
+        separator with its parent, in the postorder of one
+        ``JoinTree.walk(root)``. Also returns the rooted children lists and
+        each node's side (the nodes of its subtree)."""
+        parent, children, postorder = self.tree.walk(root)
         msg: dict[int, dict] = {}
         side: dict[int, frozenset] = {}
-        for u in tree.postorder()[:-1]:  # the root comes last
-            edge = (u, tree.parent[u])
+        for u in postorder[:-1]:  # the root comes last
+            edge = (u, parent[u])
             hit = self._cache.get(edge)
             if hit is None:
                 nodes = frozenset([u]).union(*(side[c] for c in children[u]))
@@ -252,8 +252,8 @@ def _reduce(q: Query, db: Instance) -> tuple[CountingTree, ReducedDB]:
     # stage 1: full semi-join reduction over the directed edges, up then down.
     # A bag's key set over a separator is kept until the bag loses rows, so
     # a later pass over the same separator reads no row.
-    parent = ct.tree.parent
-    up = [(u, parent[u]) for u in ct.tree.postorder() if parent[u] is not None]
+    parent, _, postorder = ct.tree.walk(ct.tree.root)
+    up = [(u, parent[u]) for u in postorder[:-1]]
     keysets: dict[tuple, set] = {}
     for src, dst in up + [(p, u) for u, p in reversed(up)]:
         sep = ct.separator(src, dst)
@@ -270,7 +270,7 @@ def _reduce(q: Query, db: Instance) -> tuple[CountingTree, ReducedDB]:
     # atom next to F is a leaf, none is counted here but on its first read
     F = len(tables)
     ht = CountingTree(vars_list + [q.head], q.head, tables, DIRECT_LEX, reason="not_free_connex")
-    children = ht.tree.rerooted(F).children()
+    children = ht.tree.walk(F)[1]
     msg = ht.messages(F)[0] if any(children[u] for u in children[F]) else {}
     reduced = []
     for u in range(F):

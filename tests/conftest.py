@@ -2,8 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import settings
 
 from cqrank.model import Instance, Query, Relation, parse_order, parse_query
+
+# every property test draws the same examples on every run
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

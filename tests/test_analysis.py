@@ -60,19 +60,41 @@ def test_gyo_three_edge_path_separators():
     assert seps == {frozenset("B"), frozenset("C")}
 
 
-def test_gyo_running_intersection_random():
-    rng = random.Random(3)
-    hits = 0
-    for _ in range(500):
+def _random_join_trees(seed=3, tries=500):
+    rng = random.Random(seed)
+    for _ in range(tries):
         vs = [f"V{i}" for i in range(rng.randint(1, 6))]
         edges = [frozenset(rng.sample(vs, rng.randint(1, len(vs))))
                  for _ in range(rng.randint(1, 5))]
         t = gyo_join_tree(edges)
         if isinstance(t, JoinTree):
-            hits += 1
-            assert _rip_ok(t)
-            assert sum(1 for p in t.parent if p is None) == 1
+            yield t
+
+
+def test_gyo_running_intersection_random():
+    hits = 0
+    for t in _random_join_trees():
+        hits += 1
+        assert _rip_ok(t)
+        assert sum(1 for p in t.parent if p is None) == 1
     assert hits > 100
+
+
+def test_join_tree_walk_from_every_root():
+    rootings = 0
+    for t in _random_join_trees():
+        n = len(t.node_vars)
+        edges = {frozenset((u, p)) for u, p in enumerate(t.parent) if p is not None}
+        for r in range(n):
+            parent, children, postorder = t.walk(r)
+            assert parent[r] is None
+            assert all(frozenset((u, parent[u])) in edges for u in range(n) if u != r)
+            assert children == [[c for c in range(n) if parent[c] == u] for u in range(n)]
+            assert sorted(postorder) == list(range(n)) and postorder[-1] == r
+            at = {u: i for i, u in enumerate(postorder)}
+            assert all(at[c] < at[u] for u in range(n) for c in children[u])
+            rootings += 1
+    assert rootings > 300
 
 
 def test_free_connex_flags(q2path, qproj, qtriangle):

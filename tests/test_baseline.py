@@ -107,8 +107,10 @@ def test_sort_before_join_examples(q3path):
 
     with pytest.raises(NotApplicable):
         sort_before_join_access(q3path, db, parse_order("lex: A,B", q3path), 0)
-    with pytest.raises(OutOfRange):
-        sort_before_join_access(q3path, db, o, len(oracle))
+    for k in (len(oracle), -1, -len(oracle) - 1):
+        with pytest.raises(OutOfRange) as exc:
+            sort_before_join_access(q3path, db, o, k)
+        assert (exc.value.k, exc.value.count) == (k, len(oracle))
 
 
 @pytest.mark.parametrize("text", [

@@ -84,6 +84,16 @@ def test_cli_count_lex_and_sum(workspace, capsys):
     assert counts == [{"count": 4}] * 4
 
 
+def test_cli_count_cyclic_names_count(tmp_path, capsys):
+    (tmp_path / "q.cq").write_text("Q(A,B,C) :- R(A,B), S(B,C), T(C,A).\n")
+    for name, text in {"R": "A,B\n1,2\n", "S": "B,C\n2,3\n", "T": "C,A\n3,1\n"}.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    assert main(["count", "--query", str(tmp_path / "q.cq"), "--data", str(tmp_path),
+                 "--order", "lex: A,B,C"]) == 1
+    (line,) = _lines(capsys)
+    assert line == {"error": "not_routed", "detail": "count not available: not_acyclic"}
+
+
 def test_cli_select(workspace, capsys):
     rc = main([
         "select", "--query", str(workspace / "q.cq"), "--data", str(workspace / "data"),
