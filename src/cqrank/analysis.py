@@ -193,30 +193,16 @@ def sum_anchor_atom(q: Query, weight_vars) -> int | None:
     return None
 
 
-def _completion(q: Query, o: OrderSpec):
-    """``(trio-free completion or None, effective_order)`` from one search."""
-    if o.kind == LEX:
-        prefix = tuple(o.vars)
-    else:
-        anchor = sum_anchor_atom(q, o.vars)
-        if anchor is None:
-            return None, tuple(q.head)
-        prefix = tuple(v for v in q.head if v in q.atoms[anchor].var_set)
-    completed = complete_order(q, prefix)
-    if completed is not None:
-        return completed, completed
-    return None, prefix + tuple(v for v in q.head if v not in set(prefix))
-
-
 def effective_order(q: Query, o: OrderSpec) -> tuple[str, ...]:
     """The deterministic full tie-break order shared by every execution path.
 
     Lex: the order itself when full; otherwise its trio-free completion when
     one exists, else the ranked prefix followed by the rest in head order.
     Sum: the anchor atom's head variables (head order) followed by a trio-free
-    completion; without a single anchor atom, plain head order.
+    completion; without a single anchor atom, plain head order. It is
+    ``analyze(q, o).tie_break_order``.
     """
-    return _completion(q, o)[1]
+    return analyze(q, o).tie_break_order
 
 
 @dataclass(frozen=True)
@@ -255,7 +241,14 @@ def analyze(q: Query, o: OrderSpec) -> TractabilityReport:
     acyclic, fc = check_free_connex(q)
     trio = None
     anchor = None if o.kind == LEX else sum_anchor_atom(q, o.vars)
-    completed, tie_break = _completion(q, o)
+    if o.kind == LEX:
+        prefix = tuple(o.vars)
+    else:  # the anchor atom's head variables, in head order; none without an anchor
+        prefix = tuple(v for v in q.head if anchor is not None and v in q.atoms[anchor].var_set)
+    # a sum order without an anchor seeks no completion: its tie-break is head order
+    completed = None if o.kind != LEX and anchor is None else complete_order(q, prefix)
+    tie_break = completed if completed is not None else \
+        prefix + tuple(v for v in q.head if v not in set(prefix))
     if not fc:
         completed = None
 

@@ -32,11 +32,11 @@ from .baseline import (
     sort_before_join_access,
     topk_heap_access,
 )
-from .engine import _check_routed, preprocess_lex, preprocess_sum
+from .engine import _check_routed, count_answers, preprocess_lex, preprocess_sum
 from .errors import CqError, ConfigError, NotRouted, OutOfRange
 from .instrument import Stats
 from .model import Instance, OrderSpec, Query, Relation, parse_order, parse_query, read_utf8
-from .selection import conditional_value_counts, select_lex, select_sum
+from .selection import select_lex, select_sum
 
 LARGE = "large"
 SMALL = "small"
@@ -150,7 +150,7 @@ class _Runner:
             self.comparisons, self.count = counted.build_stats.comparisons, self.index.count
         except NotRouted:  # each `da` row records its own; the other methods still run
             self.index = None
-            self.count = sum(c for _, c in conditional_value_counts(q, db, {}, q.head[0]))
+            self.count = count_answers(q, db)
         self._oracle = None
 
     def oracle(self):
@@ -198,7 +198,7 @@ class _Runner:
                 t0 = time.perf_counter()
                 ans, _log = topk_heap_access(self.q, self.db, self.order, k, cap=self.result_cap)
                 row["access_ms"] = row["wall_ms"] = _ms(t0, time.perf_counter())
-            elif method == "sort-before-join":
+            else:  # sort-before-join
                 order_b = OrderSpec("lex", ("B",))
                 t0 = time.perf_counter()
                 ans, _log = sort_before_join_access(self.q, self.db, order_b, k)
@@ -206,8 +206,6 @@ class _Runner:
                 row["order"] = "lex:B"
                 row["verified"] = None  # ranked under a different order
                 return row
-            else:
-                raise ConfigError(f"unknown method {method!r}")
             row["verified"] = self.verify(k, ans)
         except CqError as exc:
             row["error"] = type(exc).__name__
@@ -226,7 +224,8 @@ def _is(x, kind) -> bool:
 
 
 def _check_config(config) -> None:
-    """Raise ``ConfigError`` unless ``config`` has the shape run_benchmark reads."""
+    """Raise ``ConfigError`` unless ``config`` has the shape run_benchmark
+    reads and names only known experiments and methods; nothing runs before."""
     if not isinstance(config, dict) or not isinstance(config.get("experiments"), list):
         raise ConfigError("config must be an object with an 'experiments' list")
     for obj in [config, *config["experiments"]]:
@@ -239,6 +238,12 @@ def _check_config(config) -> None:
             if key in obj and not (isinstance(obj[key], list)
                                    and all(_is(x, kind) for x in obj[key])):
                 raise ConfigError(f"{key!r} must be a list of {kind.__name__}, not {obj[key]!r}")
+    for exp in config["experiments"]:
+        if exp.get("id") not in ("A", "B", "C"):
+            raise ConfigError(f"unknown experiment id {exp.get('id')!r}")
+        for m in exp.get("methods", []):
+            if m not in KNOWN_METHODS:
+                raise ConfigError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
 
 
 def run_benchmark(config) -> BenchReport:
@@ -258,11 +263,6 @@ def run_benchmark(config) -> BenchReport:
     # interpreter warm-up; timings below discard this work entirely
     warm = _Runner(q, generate_instance(GenConfig(200, LARGE, 0)), order, 0, result_cap)
     warm.run("da", warm.count // 2)
-
-    for exp in config["experiments"]:
-        for m in exp.get("methods", []):
-            if m not in KNOWN_METHODS:
-                raise ConfigError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
 
     def cells(exp, seeds):
         """Each (n, join size, seed) of an A or C experiment, its runner and median k."""
@@ -301,7 +301,7 @@ def run_benchmark(config) -> BenchReport:
                     row = runner.run(m, k)
                     row.update(experiment="B", n=n, join_size=js, seed=seed)
                     rows.append(row)
-        elif eid == "C":
+        else:  # "C"
             for n, js, seed, runner, k in cells(exp, [1, 2, 3, 4, 5, 6]):
                 da = runner.run("da", k)
                 sa = runner.run("sa", k)
@@ -316,6 +316,4 @@ def run_benchmark(config) -> BenchReport:
                     "ratio": ratio, "verified": da.get("verified"),
                     "error": da.get("error") or sa.get("error"),
                 })
-        else:
-            raise ConfigError(f"unknown experiment id {eid!r}")
     return BenchReport(rows)

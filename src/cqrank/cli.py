@@ -18,8 +18,8 @@ from .baseline import (
     sort_before_join_access,
     topk_heap_access,
 )
-from .engine import build_index
-from .errors import CqError, InvalidPositions, NotRouted, OutOfRange
+from .engine import build_index, count_answers
+from .errors import CqError, InvalidPositions, OutOfRange
 from .instrument import Stats
 from .model import (
     LEX,
@@ -29,7 +29,7 @@ from .model import (
     read_utf8,
     validate_instance,
 )
-from .selection import conditional_value_counts, select_lex, select_sum
+from .selection import select_lex, select_sum
 
 
 def _error_code(exc: Exception) -> str:
@@ -96,11 +96,7 @@ def cmd_access(args) -> int:
 
 def cmd_count(args) -> int:
     q, o, db = _load(args)  # the count is the same under every order: no index
-    try:
-        counts = conditional_value_counts(q, db, {}, q.head[0])
-    except NotRouted as exc:  # the counting tree is built in selection's name
-        raise NotRouted("count", exc.reasons) from None
-    _emit({"count": sum(c for _, c in counts)})
+    _emit({"count": count_answers(q, db)})
     return 0
 
 

@@ -237,6 +237,12 @@ def atom_tree(q: Query, bound, mode: str, stats: Stats | None = None) -> Countin
     return CountingTree([b.vars for b in bound], q.head, [b.rows for b in bound], mode, stats)
 
 
+def count_answers(q: Query, db: Instance) -> int:
+    """The number of answers (the same under every order), from one counting
+    pass over the atoms' bags; ``NotRouted("count", ...)`` on a cyclic query."""
+    return atom_tree(q, bound_atoms(q, db), "count").counts(0, ()).get((), 0)
+
+
 def build_reduced_db(q: Query, db: Instance) -> ReducedDB:
     """Stages 1 and 2: fully reduced, head-projected weighted relations."""
     return ReducedDB(tuple(ReducedAtom(a.vars, a.rows) for a in _reduce(q, db)[1].atoms))
@@ -446,6 +452,7 @@ def _check_routed(report: TractabilityReport, mode: str) -> None:
         raise NotRouted(mode, verdict.reasons)
 
 
+@_no_gc()
 def _preprocess(q: Query, db: Instance, report: TractabilityReport, mode: str,
                 count_comparisons: bool) -> AccessIndex:
     """The index over the completed order; for ``DIRECT_SUM``, with the sum
@@ -468,14 +475,12 @@ def _preprocess(q: Query, db: Instance, report: TractabilityReport, mode: str,
     return AccessIndex(q, order, vt, groups, count, stats, list(map(itemgetter(0), blocks)), cums)
 
 
-@_no_gc()
 def preprocess_lex(q: Query, db: Instance, report: TractabilityReport, *,
                    count_comparisons: bool = False) -> AccessIndex:
     """Build the ranked-access index for a routed lexicographic order."""
     return _preprocess(q, db, report, DIRECT_LEX, count_comparisons)
 
 
-@_no_gc()
 def preprocess_sum(q: Query, db: Instance, report: TractabilityReport, *,
                    count_comparisons: bool = False) -> AccessIndex:
     """Build the ranked-access index for a routed single-atom sum order."""
@@ -484,7 +489,5 @@ def preprocess_sum(q: Query, db: Instance, report: TractabilityReport, *,
 
 def build_index(q: Query, db: Instance, o, *, count_comparisons: bool = False) -> AccessIndex:
     """Convenience: analyze and build the index for either order kind."""
-    report = analyze(q, o)
-    if o.kind == "lex":
-        return preprocess_lex(q, db, report, count_comparisons=count_comparisons)
-    return preprocess_sum(q, db, report, count_comparisons=count_comparisons)
+    return _preprocess(q, db, analyze(q, o), DIRECT_LEX if o.kind == "lex" else DIRECT_SUM,
+                       count_comparisons)

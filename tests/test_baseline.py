@@ -1,18 +1,23 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
+from cqrank.analysis import DIRECT_LEX, DIRECT_SUM, SINGLE_LEX, SINGLE_SUM, analyze
 from cqrank.baseline import (
+    _path_start,
     materialize_and_sort,
     sort_before_join_access,
     stream_answers,
     topk_heap_access,
 )
-from cqrank.errors import NotApplicable, OutOfRange, ResultTooLarge
-from cqrank.model import Instance, Relation, parse_order, parse_query
+from cqrank.engine import build_index, count_answers
+from cqrank.errors import NotApplicable, NotRouted, OutOfRange, ResultTooLarge
+from cqrank.model import Atom, Instance, OrderSpec, Query, Relation, parse_order, parse_query
+from cqrank.selection import select_lex, select_sum
 
-from conftest import domain_for, random_instance
+from conftest import domain_for, random_acyclic_case, random_instance
 
 
 def test_materialize_two_path(q2path, db1):
@@ -174,3 +179,83 @@ def test_sort_before_join_two_atom_path(q2path, db1):
     for k in range(len(oracle)):
         ans, _ = sort_before_join_access(q2path, db1, o, k)
         assert ans == oracle[k]
+
+
+def _closed_cycle(rng, q, orders, db):
+    """The draw plus one binary atom ``Z`` over two variables that are
+    connected but share no atom, which closes a cycle; cells follow
+    ``random_acyclic_case`` (ints in weight columns). None if no pair fits."""
+    comp = {v: {v} for a in q.atoms for v in a.vars}
+    for a in q.atoms:
+        merged = set().union(*(comp[v] for v in a.vars))
+        for v in merged:
+            comp[v] = merged
+    pairs = [(x, y) for x, y in itertools.combinations(sorted(comp), 2)
+             if y in comp[x] and not any({x, y} <= a.var_set for a in q.atoms)]
+    if not pairs:
+        return None
+    pair = rng.choice(pairs)
+    weights = {v for o in orders if o.kind == "sum" for v in o.vars}
+    rows = tuple(tuple(rng.randint(0, 2) if v in weights else rng.choice((0, 1, 2, "a", "b"))
+                       for v in pair)
+                 for _ in range(rng.randint(0, 6)))
+    return (Query(q.name, q.head, q.atoms + (Atom("Z", pair),)),
+            Instance({**db.relations, "Z": Relation("Z", ("c0", "c1"), rows)}))
+
+
+def test_every_answer_channel_matches_the_oracle_on_random_draws():
+    """On random acyclic draws and on each draw with a cycle closed: direct
+    access and selection equal ``materialize_and_sort`` at every k where
+    ``analyze`` routes them and raise ``NotRouted`` where it does not; the
+    top-k heap equals it everywhere; ``count_answers`` counts it on acyclic
+    queries; and sort-before-join equals it under each single-variable
+    order on a path."""
+    rng = random.Random(41)
+    seen = Counter()
+    for _ in range(300):
+        q, orders, db = random_acyclic_case(rng)
+        cases = [(q, db)]
+        if (cyclic := _closed_cycle(rng, q, orders, db)) is not None:
+            cases.append(cyclic)
+        for q, db in cases:
+            acyclic = analyze(q, orders[0]).acyclic
+            seen["cyclic"] += not acyclic
+            for o in orders:
+                want = materialize_and_sort(q, db, o)
+                report = analyze(q, o)
+                lex = o.kind == "lex"
+                if report.routing[DIRECT_LEX if lex else DIRECT_SUM].ok:
+                    index = build_index(q, db, o)
+                    assert [index.access(k) for k in range(len(want))] == want, (q, o, db)
+                    assert index.count == len(want)
+                    seen["direct"] += 1
+                else:
+                    with pytest.raises(NotRouted):
+                        build_index(q, db, o)
+                    seen["not_direct", acyclic] += 1
+                sel = select_lex if lex else select_sum
+                if report.routing[SINGLE_LEX if lex else SINGLE_SUM].ok:
+                    got = [sel(q, db, o, k, seed=k, report=report) for k in range(len(want))]
+                    assert got == want, (q, o, db)
+                else:
+                    with pytest.raises(NotRouted):
+                        sel(q, db, o, 0, report=report)
+                assert [topk_heap_access(q, db, o, k)[0] for k in range(len(want))] == want, \
+                    (q, o, db)
+            if acyclic:  # the count is the same under every order
+                assert count_answers(q, db) == len(want), (q, db)
+            else:
+                with pytest.raises(NotRouted):
+                    count_answers(q, db)
+            if _path_start(q) is None:
+                continue
+            for v in q.head:
+                o = OrderSpec("lex", (v,))
+                want = materialize_and_sort(q, db, o)
+                got = [sort_before_join_access(q, db, o, k)[0] for k in range(len(want))]
+                assert got == want, (q, o, db)
+                with pytest.raises(OutOfRange):
+                    sort_before_join_access(q, db, o, len(want))
+                seen["sort_before_join"] += 1
+    assert seen["direct"] >= 400 and seen["not_direct", True] >= 15, seen
+    assert seen["cyclic"] >= 50 and seen["sort_before_join"] >= 40, seen

@@ -109,6 +109,20 @@ def test_run_benchmark_config_errors():
         ]})
 
 
+@pytest.mark.parametrize("bad", [{"id": "Z"}, {"id": "B", "ks": [0], "methods": ["nope"]}])
+def test_run_benchmark_checks_every_experiment_before_it_runs_one(bad, monkeypatch):
+    """An unknown experiment id or method after a valid experiment raises
+    ``ConfigError`` before any instance is generated, warm-up included."""
+    import cqrank.bench as bench
+
+    made = []
+    real = bench.generate_instance
+    monkeypatch.setattr(bench, "generate_instance", lambda cfg: (made.append(cfg), real(cfg))[1])
+    valid = {"id": "A", "ns": [40], "join_sizes": ["large"], "methods": ["da", "sa"]}
+    with pytest.raises(ConfigError, match="unknown"):
+        run_benchmark({"experiments": [valid, bad]})
+    assert made == []
+
 
 def test_full_sort_rejects_positions_outside_the_answers():
     """``full-sort`` reports a k outside [0, count) as OutOfRange, as the

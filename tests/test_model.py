@@ -92,6 +92,13 @@ def test_parse_order_errors():
         parse_order("lex: B", qp)
 
 
+def test_parse_order_trailing_input_carries_position():
+    q = parse_query("Q(A,B,C) :- R(A,B), S(B,C).")
+    with pytest.raises(QuerySyntaxError) as e:
+        parse_order("lex: A,B C", q)
+    assert (e.value.pos, e.value.expected) == (9, "end of order")
+
+
 _ident = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
 
 
