@@ -54,6 +54,7 @@ from .model import (
 )
 from .selection import (
     conditional_value_counts,
+    select,
     select_lex,
     select_sum,
     weighted_select,
@@ -97,6 +98,7 @@ __all__ = [
     "preprocess_lex",
     "preprocess_sum",
     "run_benchmark",
+    "select",
     "select_lex",
     "select_sum",
     "sort_before_join_access",

@@ -26,17 +26,17 @@ from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
-from .analysis import DIRECT_LEX, DIRECT_SUM, analyze
+from .analysis import analyze
 from .baseline import (
     materialize_and_sort,
     sort_before_join_access,
     topk_heap_access,
 )
-from .engine import _check_routed, count_answers, preprocess_lex, preprocess_sum
+from .engine import build_index, count_answers
 from .errors import CqError, ConfigError, NotRouted, OutOfRange
 from .instrument import Stats
 from .model import Instance, OrderSpec, Query, Relation, parse_order, parse_query, read_utf8
-from .selection import select_lex, select_sum
+from .selection import select
 
 LARGE = "large"
 SMALL = "small"
@@ -138,18 +138,15 @@ class _Runner:
         self.report = analyze(q, order)
         self.verify_cap = verify_cap
         self.result_cap = result_cap
-        lex = order.kind == "lex"
-        preprocess, self.select = (preprocess_lex, select_lex) if lex else (preprocess_sum, select_sum)
-        self.da_mode = DIRECT_LEX if lex else DIRECT_SUM
         try:
             t0 = time.perf_counter()
-            self.index = preprocess(q, db, self.report)
+            self.index = build_index(q, db, order)
             self.preprocess_ms = _ms(t0, time.perf_counter())
             # counted in a build of its own, so the counting sort key stays out of preprocess_ms
-            counted = preprocess(q, db, self.report, count_comparisons=True)
+            counted = build_index(q, db, order, count_comparisons=True)
             self.comparisons, self.count = counted.build_stats.comparisons, self.index.count
-        except NotRouted:  # each `da` row records its own; the other methods still run
-            self.index = None
+        except NotRouted as exc:  # each `da` row records it; the other methods still run
+            self.index, self.not_routed = None, exc
             self.count = count_answers(q, db)
         self._oracle = None
 
@@ -172,7 +169,8 @@ class _Runner:
                      "order": f"{self.order.kind}:{','.join(self.order.vars)}"}
         try:
             if method == "da":
-                _check_routed(self.report, self.da_mode)
+                if self.index is None:
+                    raise self.not_routed
                 self.index.access(k)  # warm-up, uncounted
                 stats = Stats()
                 t0 = time.perf_counter()
@@ -183,9 +181,9 @@ class _Runner:
                 row["probes"] = stats.probes
                 row["comparisons"] = self.comparisons
             elif method == "sa":
-                self.select(self.q, self.db, self.order, k, seed=0, report=self.report)
+                select(self.q, self.db, self.order, k, seed=0, report=self.report)
                 t0 = time.perf_counter()
-                ans = self.select(self.q, self.db, self.order, k, seed=0, report=self.report)
+                ans = select(self.q, self.db, self.order, k, seed=0, report=self.report)
                 row["access_ms"] = row["wall_ms"] = _ms(t0, time.perf_counter())
             elif method == "full-sort":
                 t0 = time.perf_counter()
@@ -225,7 +223,8 @@ def _is(x, kind) -> bool:
 
 def _check_config(config) -> None:
     """Raise ``ConfigError`` unless ``config`` has the shape run_benchmark
-    reads and names only known experiments and methods; nothing runs before."""
+    reads, names only known experiments and methods, and gives only sizes
+    ``GenConfig`` accepts; nothing runs before."""
     if not isinstance(config, dict) or not isinstance(config.get("experiments"), list):
         raise ConfigError("config must be an object with an 'experiments' list")
     for obj in [config, *config["experiments"]]:
@@ -244,6 +243,9 @@ def _check_config(config) -> None:
         for m in exp.get("methods", []):
             if m not in KNOWN_METHODS:
                 raise ConfigError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
+        for n, js in product(exp.get("ns", []) + [exp.get("n", 1)],
+                             exp.get("join_sizes", []) + [exp.get("join_size", LARGE)]):
+            GenConfig(n, js)
 
 
 def run_benchmark(config) -> BenchReport:

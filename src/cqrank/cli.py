@@ -22,14 +22,13 @@ from .engine import build_index, count_answers
 from .errors import CqError, InvalidPositions, OutOfRange
 from .instrument import Stats
 from .model import (
-    LEX,
     load_instance,
     parse_order,
     parse_query,
     read_utf8,
     validate_instance,
 )
-from .selection import select_lex, select_sum
+from .selection import select
 
 
 def _error_code(exc: Exception) -> str:
@@ -103,13 +102,12 @@ def cmd_count(args) -> int:
 def cmd_select(args) -> int:
     q, o, db, load_ms = _timed_load(args)
     report = analyze(q, o)
-    fn = select_lex if o.kind == LEX else select_sum
     stats = Stats() if args.stats else None
     select_s = 0.0
     for k in _parse_ks(args.k):
         t0 = time.perf_counter()
         try:
-            ans = fn(q, db, o, k, seed=args.seed, stats=stats, report=report)
+            ans = select(q, db, o, k, seed=args.seed, stats=stats, report=report)
             line = {"k": k, "answer": ans.as_dict()}
         except OutOfRange:
             line = {"k": k, "error": "out_of_range"}

@@ -1,20 +1,19 @@
 """One-off selection: the k-th answer from scratch, no index, no sorting.
 
-Each access fixes the order's variables one at a time: count the answers per
-candidate value of the next variable, then weighted-quickselect the residual
-rank into a value block. The counts come from the counting kernel that direct
-access builds on: one call builds one ``engine.CountingTree`` over the atoms'
-bags (the relations' own rows, nothing counted up front), counts at an atom
-holding the variable, and narrows the tree to the chosen value (``fix``), so
-each later step scans only the surviving rows, reuses every message whose
-side lost none, and runs its product stream only over the rows the narrowed
-messages can extend. ``weighted_select`` keys each candidate once per call
-and owns the range check: the first step's candidates sum to the answer
-count. A sum order's first step picks one of ``sum_blocks``' anchor blocks
-by the rank key the index sorts them by. A caller's ``Stats`` is handed to
-that tree, which counts the rows its passes and fixes touch. The variable
-sequence is the same deterministic tie-break order the direct-access engine
-uses, so both produce identical tuples wherever both are routed.
+``select_lex``, ``select_sum`` and ``select`` (either, by ``order.kind``)
+share one body. It checks the routing (and a sum order's weight columns),
+builds one ``engine.CountingTree`` over the atoms' bags (the relations'
+own rows) and fixes the tie-break order's variables one at a time: count
+the answers per candidate value of the next variable at an atom holding
+it, weighted-quickselect the residual rank into a value block, and narrow
+the tree to that value (``fix``), so each later step scans only surviving
+rows and reuses every message whose side lost none. Past the weight check,
+its one branch on the order kind: a sum order first picks one of
+``sum_blocks``' anchor blocks by the index's rank key; the tie-break order
+starts with that block's variables. ``weighted_select`` owns the range
+check: the first step's candidates sum to the answer count. A caller's
+``Stats`` goes to the tree. The tie-break order is the direct-access
+engine's, so both give identical tuples wherever both are routed.
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ import random
 
 from .analysis import SINGLE_LEX, SINGLE_SUM, analyze
 from .engine import CountingTree, _check_routed, atom_tree, sum_blocks
-from .errors import OutOfRange
+from .errors import OutOfRange, UnknownVariable
 from .instrument import Stats
-from .model import AnswerTuple, Instance, OrderSpec, Query, bound_atoms, check_weight_columns, value_key
+from .model import LEX, AnswerTuple, Instance, OrderSpec, Query, bound_atoms, check_weight_columns, value_key
 
 
 def _value_counts(ct: CountingTree, x: str) -> list[tuple]:
@@ -33,15 +32,12 @@ def _value_counts(ct: CountingTree, x: str) -> list[tuple]:
     return list(ct.counts(root, (x,)).items())
 
 
-def conditional_value_counts(
-    q: Query,
-    db: Instance,
-    fixed: dict,
-    x: str,
-    _bound=None,
-) -> list[tuple]:
+def conditional_value_counts(q: Query, db: Instance, fixed: dict, x: str, _bound=None) -> list[tuple]:
     """(value, answer count) per candidate value of ``x`` consistent with
-    ``fixed``, in first-occurrence order of the rooted atom. O(n) per call."""
+    ``fixed``, in first-occurrence order of the rooted atom. O(n) per call.
+    ``UnknownVariable`` if ``x`` or a fixed variable is not in the query."""
+    if unknown := [v for v in (*fixed, x) if v not in q.variables]:
+        raise UnknownVariable(unknown[0])
     bound = _bound if _bound is not None else bound_atoms(q, db)
     ct = atom_tree(q, bound, SINGLE_LEX)
     for var, value in fixed.items():
@@ -81,54 +77,46 @@ def weighted_select(items, k: int, rng, key=None):
             work = gt
 
 
-def select_lex(
-    q: Query,
-    db: Instance,
-    order: OrderSpec,
-    k: int,
-    seed=None,
-    stats: Stats | None = None,
-    report=None,
-) -> AnswerTuple:
+def _select(q: Query, db: Instance, order: OrderSpec, k: int, seed, stats: Stats | None,
+            report, mode: str) -> AnswerTuple:
+    """The selection body of both order kinds, routed as ``mode``."""
+    if report is None:
+        report = analyze(q, order)
+    _check_routed(report, mode)
+    if mode == SINGLE_SUM:
+        check_weight_columns(q, db, report.order)
+    rng = random.Random(seed)
+    ct = atom_tree(q, bound_atoms(q, db), mode, stats)
+    fixed: dict = {}
+    if mode == SINGLE_SUM:  # the anchor block; the tie-break order starts with its variables
+        prefix, blocks, rank = sum_blocks(q, ct, report)
+        vals, k = weighted_select(blocks, k, rng=rng, key=rank)
+        fixed = dict(zip(prefix, vals))
+    for x in report.tie_break_order:
+        if x not in fixed:
+            fixed[x], k = weighted_select(_value_counts(ct, x), k, rng=rng)
+        ct.fix(x, fixed[x])
+    return AnswerTuple(q.head, tuple(fixed[v] for v in q.head))
+
+
+def select(q: Query, db: Instance, order: OrderSpec, k: int, seed=None,
+           stats: Stats | None = None, report=None) -> AnswerTuple:
+    """k-th answer under a lex or sum order: ``select_lex`` or ``select_sum``
+    by ``order.kind``."""
+    return _select(q, db, order, k, seed, stats, report, SINGLE_LEX if order.kind == LEX else SINGLE_SUM)
+
+
+def select_lex(q: Query, db: Instance, order: OrderSpec, k: int, seed=None,
+               stats: Stats | None = None, report=None) -> AnswerTuple:
     """k-th answer under a lexicographic order, expected O(f·n) per call.
 
     Works for any free-connex query and any lex order, disruptive trios
     included; partial orders follow the deterministic completion.
     """
-    if report is None:
-        report = analyze(q, order)
-    _check_routed(report, SINGLE_LEX)
-    rng = random.Random(seed)
-    ct = atom_tree(q, bound_atoms(q, db), SINGLE_LEX, stats)
-    fixed: dict = {}
-    for x in report.tie_break_order:
-        fixed[x], k = weighted_select(_value_counts(ct, x), k, rng=rng)
-        ct.fix(x, fixed[x])
-    return AnswerTuple(q.head, tuple(fixed[v] for v in q.head))
+    return _select(q, db, order, k, seed, stats, report, SINGLE_LEX)
 
 
-def select_sum(
-    q: Query,
-    db: Instance,
-    order: OrderSpec,
-    k: int,
-    seed=None,
-    stats: Stats | None = None,
-    report=None,
-) -> AnswerTuple:
+def select_sum(q: Query, db: Instance, order: OrderSpec, k: int, seed=None,
+               stats: Stats | None = None, report=None) -> AnswerTuple:
     """k-th answer under a single-atom sum order, expected O(n) per call."""
-    if report is None:
-        report = analyze(q, order)
-    _check_routed(report, SINGLE_SUM)
-    check_weight_columns(q, db, report.order)
-    rng = random.Random(seed)
-    ct = atom_tree(q, bound_atoms(q, db), SINGLE_SUM, stats)
-    prefix, blocks, rank = sum_blocks(q, ct, report)
-    vals, k = weighted_select(blocks, k, rng=rng, key=rank)
-    fixed = dict(zip(prefix, vals))
-    for x, v in fixed.items():
-        ct.fix(x, v)
-    for x in report.tie_break_order[len(prefix):]:
-        fixed[x], k = weighted_select(_value_counts(ct, x), k, rng=rng)
-        ct.fix(x, fixed[x])
-    return AnswerTuple(q.head, tuple(fixed[v] for v in q.head))
+    return _select(q, db, order, k, seed, stats, report, SINGLE_SUM)

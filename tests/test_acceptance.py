@@ -23,7 +23,7 @@ from cqrank.baseline import (
     topk_heap_access,
 )
 from cqrank.bench import GenConfig, bench_query, generate_instance
-from cqrank.engine import preprocess_lex, preprocess_sum
+from cqrank.engine import build_index, preprocess_lex
 from cqrank.errors import OutOfRange
 from cqrank.instrument import Stats
 from cqrank.model import Atom, Query, parse_order, parse_query
@@ -60,7 +60,7 @@ def _instances(order_pick):
         db = random_instance(q, rng, n, domain_for(n, join_size))
         o = parse_order(order_pick(lex_text, sum_text, seed), q)
         report = analyze(q, o)
-        ix = (preprocess_lex if o.kind == "lex" else preprocess_sum)(q, db, report)
+        ix = build_index(q, db, o)
         if ix.count > MAX_ANSWERS:
             continue
         oracle = materialize_and_sort(q, db, o)

@@ -15,7 +15,7 @@ from cqrank.baseline import (
 from cqrank.engine import build_index, count_answers
 from cqrank.errors import NotApplicable, NotRouted, OutOfRange, ResultTooLarge
 from cqrank.model import Atom, Instance, OrderSpec, Query, Relation, parse_order, parse_query
-from cqrank.selection import select_lex, select_sum
+from cqrank.selection import select
 
 from conftest import domain_for, random_acyclic_case, random_instance
 
@@ -233,13 +233,12 @@ def test_every_answer_channel_matches_the_oracle_on_random_draws():
                     with pytest.raises(NotRouted):
                         build_index(q, db, o)
                     seen["not_direct", acyclic] += 1
-                sel = select_lex if lex else select_sum
                 if report.routing[SINGLE_LEX if lex else SINGLE_SUM].ok:
-                    got = [sel(q, db, o, k, seed=k, report=report) for k in range(len(want))]
+                    got = [select(q, db, o, k, seed=k, report=report) for k in range(len(want))]
                     assert got == want, (q, o, db)
                 else:
                     with pytest.raises(NotRouted):
-                        sel(q, db, o, 0, report=report)
+                        select(q, db, o, 0, report=report)
                 assert [topk_heap_access(q, db, o, k)[0] for k in range(len(want))] == want, \
                     (q, o, db)
             if acyclic:  # the count is the same under every order

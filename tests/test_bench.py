@@ -1,9 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from cqrank.bench import (
     BenchReport,
+    _check_config,
     GenConfig,
     bench_query,
     generate_instance,
@@ -12,6 +15,8 @@ from cqrank.bench import (
 )
 from cqrank.errors import ConfigError
 from cqrank.model import load_relation
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_domain_sizes():
@@ -109,19 +114,35 @@ def test_run_benchmark_config_errors():
         ]})
 
 
-@pytest.mark.parametrize("bad", [{"id": "Z"}, {"id": "B", "ks": [0], "methods": ["nope"]}])
-def test_run_benchmark_checks_every_experiment_before_it_runs_one(bad, monkeypatch):
-    """An unknown experiment id or method after a valid experiment raises
-    ``ConfigError`` before any instance is generated, warm-up included."""
+BAD_EXPERIMENTS = [
+    ({"id": "Z"}, "unknown experiment id 'Z'"),
+    ({"id": "B", "ks": [0], "methods": ["nope"]}, "unknown method 'nope'"),
+    ({"id": "A", "ns": [0]}, "n must be >= 1"),
+    ({"id": "B", "n": 0, "ks": [0]}, "n must be >= 1"),
+    ({"id": "B", "join_size": "medium", "ks": [0]}, "join_size must be 'large' or 'small'"),
+    ({"id": "C", "join_sizes": ["small", "huge"]}, "join_size must be 'large' or 'small'"),
+]
+
+
+@pytest.mark.parametrize("bad,message", BAD_EXPERIMENTS,
+                         ids=[f"bad{i}" for i in range(len(BAD_EXPERIMENTS))])
+def test_run_benchmark_checks_every_experiment_before_it_runs_one(bad, message, monkeypatch):
+    """An unknown experiment id or method, or a size ``GenConfig`` rejects,
+    after a valid experiment raises ``ConfigError`` before any instance is
+    generated, warm-up included."""
     import cqrank.bench as bench
 
     made = []
     real = bench.generate_instance
     monkeypatch.setattr(bench, "generate_instance", lambda cfg: (made.append(cfg), real(cfg))[1])
     valid = {"id": "A", "ns": [40], "join_sizes": ["large"], "methods": ["da", "sa"]}
-    with pytest.raises(ConfigError, match="unknown"):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         run_benchmark({"experiments": [valid, bad]})
     assert made == []
+
+
+def test_check_config_accepts_the_demo_config():
+    _check_config(json.loads((ROOT / "demos" / "bench_small.json").read_text(encoding="utf-8")))
 
 
 def test_full_sort_rejects_positions_outside_the_answers():
@@ -169,9 +190,7 @@ def test_bench_runs_orders_direct_lex_cannot_build(order, unrouted):
 def test_committed_bench_results_name_their_command_machine_and_commits():
     """Every ``BENCH_*.json`` at the repository root parses and says how it
     was measured: the command, the machine and the commits compared."""
-    from pathlib import Path
-
-    files = sorted((Path(__file__).resolve().parent.parent).glob("BENCH_*.json"))
+    files = sorted(ROOT.glob("BENCH_*.json"))
     assert files
     for path in files:
         result = json.loads(path.read_text(encoding="utf-8"))

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from cqrank.analysis import DIRECT_LEX, DIRECT_SUM, SINGLE_LEX, SINGLE_SUM, analyze
 from cqrank.baseline import materialize_and_sort
-from cqrank.engine import preprocess_lex, preprocess_sum
-from cqrank.errors import NotRouted, OutOfRange
+from cqrank.engine import build_index, preprocess_lex, preprocess_sum
+from cqrank.errors import NotRouted, OutOfRange, UnknownVariable
 from cqrank.instrument import Stats
 from cqrank.model import Instance, Relation, parse_order, parse_query, value_key
 from cqrank.selection import (
     conditional_value_counts,
+    select,
     select_lex,
     select_sum,
     weighted_select,
@@ -27,6 +28,30 @@ def test_conditional_value_counts_examples(q2path, db1):
     assert dict(conditional_value_counts(q2path, db1, {}, "A")) == {1: 3, 2: 1}
     assert dict(conditional_value_counts(q2path, db1, {"A": 1}, "B")) == {1: 1, 2: 2}
     assert conditional_value_counts(q2path, db1, {"A": 3}, "B") == []
+
+
+def test_conditional_value_counts_rejects_unknown_variables(q2path, db1):
+    for fixed, x, unknown in (({}, "Z", "Z"), ({"Z": 1}, "B", "Z"), ({"A": 1, "Y": 2}, "Z", "Y")):
+        with pytest.raises(UnknownVariable) as info:
+            conditional_value_counts(q2path, db1, fixed, x)
+        assert repr(unknown) in str(info.value)
+
+
+def test_each_engine_refuses_the_other_order_kind(q2path, db1):
+    """A mode serves only its own order kind (``order_kind_mismatch``);
+    ``select`` picks the mode by the order's kind."""
+    lex, sum_ = parse_order("lex: A,B,C", q2path), parse_order("sum: B,C", q2path)
+    lex_report, sum_report = analyze(q2path, lex), analyze(q2path, sum_)
+    for call in (lambda: select_lex(q2path, db1, sum_, 0),
+                 lambda: select_sum(q2path, db1, lex, 0),
+                 lambda: preprocess_lex(q2path, db1, sum_report),
+                 lambda: preprocess_sum(q2path, db1, lex_report)):
+        with pytest.raises(NotRouted) as info:
+            call()
+        assert info.value.reasons == ("order_kind_mismatch",)
+    for o, own in ((lex, select_lex), (sum_, select_sum)):
+        assert [select(q2path, db1, o, k, seed=k) for k in range(4)] == \
+            [own(q2path, db1, o, k, seed=k) for k in range(4)]
 
 
 def test_conditional_value_counts_first_occurrence_order(q2path, db1):
@@ -162,14 +187,9 @@ def test_select_agrees_with_direct_access(q3path):
         for text in ("lex: A,B,C,D", "lex: B", "sum: C,D"):
             o = parse_order(text, q3path)
             report = analyze(q3path, o)
-            if o.kind == "lex":
-                ix = preprocess_lex(q3path, db, report)
-                sel = select_lex
-            else:
-                ix = preprocess_sum(q3path, db, report)
-                sel = select_sum
+            ix = build_index(q3path, db, o)
             for k in range(ix.count):
-                assert sel(q3path, db, o, k, seed=rng.randint(0, 99), report=report) == ix.access(k)
+                assert select(q3path, db, o, k, seed=rng.randint(0, 99), report=report) == ix.access(k)
 
 
 def test_select_lex_trio_orders_match_oracle(q2path):
@@ -244,10 +264,9 @@ def test_narrowing_selection_matches_oracle(query_text, orders):
         db = random_instance(q, rng, rng.randint(1, 12), rng.randint(1, 4))
         for text in orders:
             o = parse_order(text, q)
-            sel = select_lex if o.kind == "lex" else select_sum
             report = analyze(q, o)
             oracle = materialize_and_sort(q, db, o)
-            got = [sel(q, db, o, k, seed=k, report=report) for k in range(len(oracle))]
+            got = [select(q, db, o, k, seed=k, report=report) for k in range(len(oracle))]
             assert got == oracle, (text, db)
 
 
@@ -271,19 +290,19 @@ def test_selection_counts_rows_once_per_call(q3path, monkeypatch):
     monkeypatch.setattr(selection, "bound_atoms", spy_bind)
     monkeypatch.setattr(engine.CountingTree, "__init__", spy_init)
     sizes = [len(db.relations[a.relation].rows) for a in q3path.atoms]
-    for text, sel in (("lex: A,C,B,D", select_lex), ("sum: C,D", select_sum)):
+    for text in ("lex: A,C,B,D", "sum: C,D"):
         o = parse_order(text, q3path)
         report = analyze(q3path, o)
         for k in (0, 7):
             calls.clear()
-            sel(q3path, db, o, k, seed=k, report=report)
+            select(q3path, db, o, k, seed=k, report=report)
             assert calls == [("bind", sizes), ("tree",)], text
 
 
 def test_selection_matches_oracle_on_random_acyclic_queries():
-    """``select_lex`` and ``select_sum`` return the oracle's tuple at every
-    rank on random acyclic queries, including orders with a disruptive trio
-    (which only selection serves) and relations holding duplicate rows."""
+    """``select`` returns the oracle's tuple at every rank on random acyclic
+    queries, including orders with a disruptive trio (which only selection
+    serves) and relations holding duplicate rows."""
     rng = random.Random(29)
     seen = Counter()
     for _ in range(400):
@@ -293,16 +312,16 @@ def test_selection_matches_oracle_on_random_acyclic_queries():
         dups = any(len(set(r.rows)) < len(r.rows) for r in db.relations.values())
         for o in orders:
             lex = o.kind == "lex"
-            sel, report = (select_lex if lex else select_sum), analyze(q, o)
+            report = analyze(q, o)
             if not report.routing[SINGLE_LEX if lex else SINGLE_SUM].ok:
                 with pytest.raises(NotRouted):
-                    sel(q, db, o, 0, report=report)
+                    select(q, db, o, 0, report=report)
                 continue
             want = materialize_and_sort(q, db, o)
-            got = [sel(q, db, o, k, seed=k, report=report) for k in range(len(want))]
+            got = [select(q, db, o, k, seed=k, report=report) for k in range(len(want))]
             assert got == want, (q, o, db)
             with pytest.raises(OutOfRange):
-                sel(q, db, o, len(want), report=report)
+                select(q, db, o, len(want), report=report)
             direct = report.routing[DIRECT_LEX if lex else DIRECT_SUM]
             seen[o.kind] += 1
             seen["trio"] += bool({"disruptive_trio", "no_trio_free_completion"} & set(direct.reasons))
