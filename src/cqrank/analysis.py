@@ -18,6 +18,7 @@ direct-access descent needs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .model import LEX, OrderSpec, Query
@@ -65,38 +66,26 @@ class Cyclic:
 def gyo_join_tree(edges) -> JoinTree | Cyclic:
     """GYO ear removal over edge instances.
 
-    Repeatedly (a) drop vertices that occur in exactly one live edge and
-    (b) remove a live edge contained in another live edge, recording the
-    containment as a tree link. Acyclic iff every edge is eventually removed
-    or emptied.
+    Each pass drops every vertex that lies in exactly one live edge, then
+    links the first live edge contained in another live edge to the first
+    such edge, both in ascending index, and removes it. The passes stop when
+    no live edge is contained in another. Acyclic iff every live edge left
+    is empty.
     """
     node_vars = tuple(frozenset(e) for e in edges)
     current = [set(e) for e in edges]
     alive = list(range(len(edges)))  # kept ascending; iteration stays deterministic
     parent: list[int | None] = [None] * len(edges)
-
-    changed = True
-    while changed:
-        changed = False
-        occ: dict[str, list[int]] = {}
+    while True:
+        live = Counter(v for i in alive for v in current[i])
+        once = {v for v, n in live.items() if n == 1}
         for i in alive:
-            for v in current[i]:
-                occ.setdefault(v, []).append(i)
-        for v, where in occ.items():
-            if len(where) == 1:
-                current[where[0]].discard(v)
-                changed = True
-        for i in alive:
-            if len(alive) == 1:
-                break
-            target = next(
-                (j for j in alive if j != i and current[i] <= current[j]), None
-            )
-            if target is not None:
-                alive.remove(i)
-                parent[i] = target
-                changed = True
-                break  # occurrence counts are stale; restart the pass
+            current[i] -= once
+        link = next(((i, j) for i in alive for j in alive if i != j and current[i] <= current[j]), None)
+        if link is None:
+            break
+        alive.remove(link[0])
+        parent[link[0]] = link[1]
 
     residue = tuple(frozenset(current[i]) for i in alive if current[i])
     if residue:
@@ -144,44 +133,36 @@ def find_disruptive_trio(q: Query, order) -> tuple[str, str, str] | None:
 
 def _extension_blocked(placed, y, adj) -> bool:
     """Would appending y create a trio (y as the late variable x3)?"""
-    nbrs = [x for x in placed if x in adj[y]]
-    for i, x1 in enumerate(nbrs):
-        for x2 in nbrs[i + 1:]:
-            if x2 not in adj[x1]:
-                return True
+    nbrs = adj[y].intersection(placed)
+    for x in nbrs:  # nbrs - adj[x] always holds x itself
+        if len(nbrs - adj[x]) > 1:
+            return True
     return False
 
 
 def complete_order(q: Query, partial) -> tuple[str, ...] | None:
     """Extend a partial lex list to a full trio-free order, or None.
 
-    Exhaustive backtracking over the unranked head variables; candidates are
-    tried in head order, so the first solution is deterministic.
+    A prefix with a disruptive trio has none. Otherwise an exhaustive
+    depth-first search appends, in head order, each unranked head variable
+    that closes no trio, so the first full order it reaches is deterministic.
     """
     prefix = tuple(partial)
+    if find_disruptive_trio(q, prefix) is not None:
+        return None
     adj = head_adjacency(q)
-    for i in range(len(prefix)):
-        if _extension_blocked(prefix[:i], prefix[i], adj):
-            return None
-    remaining = [v for v in q.head if v not in set(prefix)]
-    placed = list(prefix)
 
-    def extend() -> bool:
+    def extend(placed, remaining):
         if not remaining:
-            return True
-        for idx in range(len(remaining)):
-            v = remaining[idx]
-            if _extension_blocked(placed, v, adj):
-                continue
-            placed.append(v)
-            del remaining[idx]
-            if extend():
-                return True
-            remaining.insert(idx, v)
-            placed.pop()
-        return False
+            return placed
+        for i, v in enumerate(remaining):
+            if not _extension_blocked(placed, v, adj):
+                done = extend(placed + (v,), remaining[:i] + remaining[i + 1:])
+                if done is not None:
+                    return done
+        return None
 
-    return tuple(placed) if extend() else None
+    return extend(prefix, tuple(v for v in q.head if v not in prefix))
 
 
 def sum_anchor_atom(q: Query, weight_vars) -> int | None:
@@ -259,12 +240,11 @@ def analyze(q: Query, o: OrderSpec) -> TractabilityReport:
         direct = single = ModeVerdict(False, ("sum_vars_not_single_atom",))
     elif completed is not None:
         direct = single = ModeVerdict(True)
-    elif o.kind == LEX:
+    else:  # a lex order: a sum anchor's head variables are a clique, and every clique
+        # of a free-connex query's chordal head graph starts a trio-free order
         trio = find_disruptive_trio(q, tie_break)
         reason = "disruptive_trio" if len(o.vars) == len(q.head) else "no_trio_free_completion"
         direct, single = ModeVerdict(False, (reason,)), ModeVerdict(True)
-    else:  # a sum order without a completion: cannot happen for chordal head graphs; stay safe
-        direct = single = ModeVerdict(False, ("no_trio_free_completion",))
 
     lex_modes, sum_modes = (DIRECT_LEX, SINGLE_LEX), (DIRECT_SUM, SINGLE_SUM)
     own, other = (lex_modes, sum_modes) if o.kind == LEX else (sum_modes, lex_modes)

@@ -11,8 +11,9 @@ Experiments (desk scale, machine-readable reports):
   ratio across seeds: the break-even number of accesses.
 
 Every timed answer is cross-checked against the materialize-and-sort oracle
-whenever the answer count stays under ``verify_cap``; rows above the cap are
-flagged unverified. Instances are deterministic in (n, join_size, seed).
+whenever the answer count stays within ``verify_cap`` and ``result_cap``;
+other rows are flagged unverified. Instances are deterministic in
+(n, join_size, seed).
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ class _Runner:
         self._oracle = None
 
     def oracle(self):
-        if self._oracle is None and self.count <= self.verify_cap:
+        if self._oracle is None and self.count <= min(self.verify_cap, self.result_cap):
             self._oracle = materialize_and_sort(self.q, self.db, self.order, cap=self.result_cap)
         return self._oracle
 

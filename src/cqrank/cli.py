@@ -19,7 +19,7 @@ from .baseline import (
     topk_heap_access,
 )
 from .engine import build_index, count_answers
-from .errors import CqError, InvalidPositions, OutOfRange
+from .errors import ConfigError, CqError, InvalidPositions, OutOfRange
 from .instrument import Stats
 from .model import (
     load_instance,
@@ -164,11 +164,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    report = bench_mod.run_benchmark(args.config)
     out = Path(args.out)
+    json_out = out.with_suffix(".json")
+    if json_out == out:  # the JSON report would overwrite the CSV
+        raise ConfigError(f"--out {out} must not end in .json: the JSON report goes beside it")
+    report = bench_mod.run_benchmark(args.config)
     report.write_csv(out)
-    report.write_json(out.with_suffix(".json"))
-    _emit({"rows": len(report.rows), "csv": str(out), "json": str(out.with_suffix('.json'))})
+    report.write_json(json_out)
+    _emit({"rows": len(report.rows), "csv": str(out), "json": str(json_out)})
     return 0
 
 

@@ -157,6 +157,19 @@ def test_full_sort_rejects_positions_outside_the_answers():
         [(m, k, "OutOfRange") for k in (-1, count) for m in methods]
     assert not any("verified" in r for r in report.rows)
 
+def test_rows_past_the_result_cap_go_unverified_not_failed():
+    """With more answers than ``result_cap`` the oracle is never built, so a
+    method that ran reads ``verified: null``; only full-sort, which
+    materializes the answers itself, reports ``ResultTooLarge``."""
+    report = run_benchmark({"verify_cap": 1_000_000, "result_cap": 100, "experiments": [
+        {"id": "B", "n": 40, "ks": [0], "methods": ["da", "sa", "topk-heap", "full-sort"]}]})
+    rows = {r["method"]: r for r in report.rows}
+    assert all(r["answers"] > 100 for r in rows.values())
+    for m in ("da", "sa", "topk-heap"):
+        assert "error" not in rows[m] and rows[m]["verified"] is None, rows[m]
+    assert rows["full-sort"]["error"] == "ResultTooLarge"
+
+
 def test_bench_query_shape():
     q = bench_query()
     assert q.head == ("A", "B", "C", "D")

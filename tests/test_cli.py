@@ -5,7 +5,9 @@ import pytest
 
 import cqrank.cli as cli
 from cqrank.cli import main
+from cqrank.baseline import materialize_and_sort
 from cqrank.engine import AccessIndex
+from cqrank.model import load_instance, parse_order, parse_query
 
 
 @pytest.fixture
@@ -115,6 +117,26 @@ def test_cli_baseline_strategy_log(workspace, capsys):
     assert line["strategy_log"]["ran"] == "FullSort"
 
 
+@pytest.mark.parametrize("strategy, order_text, log_keys", [
+    ("full-sort", "lex: A,B,C", {"requested", "ran"}),
+    ("topk-heap", "lex: A,B,C", {"requested", "ran", "reason", "answers", "k"}),
+    ("sort-before-join", "lex: B", {"emitted", "block_size"}),
+])
+def test_cli_baseline_gives_the_oracle_answer_at_every_k(workspace, capsys, strategy, order_text, log_keys):
+    q = parse_query((workspace / "q.cq").read_text())
+    oracle = materialize_and_sort(q, load_instance(workspace / "data", q), parse_order(order_text, q))
+    rc = main([
+        "baseline", "--query", str(workspace / "q.cq"), "--data", str(workspace / "data"),
+        "--order", order_text, "--strategy", strategy,
+        "--k", ",".join(str(k) for k in range(len(oracle) + 1)),
+    ])
+    assert rc == 0
+    *answers, past_end = _lines(capsys)
+    assert [line["answer"] for line in answers] == [a.as_dict() for a in oracle]
+    assert all(set(line["strategy_log"]) == log_keys for line in answers)
+    assert past_end == {"k": len(oracle), "error": "out_of_range"}
+
+
 def test_cli_not_routed_error(workspace, capsys):
     rc = main([
         "access", "--query", str(workspace / "q.cq"), "--data", str(workspace / "data"),
@@ -170,6 +192,20 @@ def test_cli_bench(tmp_path, capsys):
     assert out.exists() and out.with_suffix(".json").exists()
     (line,) = _lines(capsys)
     assert line["rows"] == 1
+    assert (line["csv"], line["json"]) == (str(out), str(out.with_suffix(".json")))
+    assert out.read_text().startswith("experiment,") and json.loads(out.with_suffix(".json").read_text())
+
+
+def test_cli_bench_refuses_a_json_out_path(tmp_path, capsys, monkeypatch):
+    """The CSV would be overwritten by the JSON report of the same name."""
+    monkeypatch.setattr(cli.bench_mod, "run_benchmark", lambda config: pytest.fail("an experiment ran"))
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"experiments": [{"id": "C", "ns": [40], "seeds": [1]}]}))
+    rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    (line,) = _lines(capsys)
+    assert line["error"] == "config_error" and "r.json" in line["detail"]
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("text", [
