@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .model import LEX, OrderSpec, Query
 
@@ -117,18 +118,14 @@ def head_adjacency(q: Query) -> dict[str, set[str]]:
 
 
 def find_disruptive_trio(q: Query, order) -> tuple[str, str, str] | None:
-    """Lexicographically first trio by order positions, or None."""
-    order = tuple(order)
-    adj = head_adjacency(q)
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            if order[b] in adj[order[a]]:
-                continue
-            for c in range(b + 1, len(order)):
-                x3 = order[c]
-                if order[a] in adj[x3] and order[b] in adj[x3]:
-                    return (order[a], order[b], x3)
-    return None
+    """Lexicographically first trio by order positions (a, b, c), or None: two
+    of order[c]'s earlier head neighbours, at a < b, that share no atom."""
+    order, adj = tuple(order), head_adjacency(q)
+    pos = {v: i for i, v in enumerate(order)}
+    trio = min(((a, b, c) for c, x3 in enumerate(order)
+                for a, b in combinations(sorted(pos[x] for x in adj[x3] if pos.get(x, c) < c), 2)
+                if order[b] not in adj[order[a]]), default=None)
+    return None if trio is None else tuple(order[i] for i in trio)
 
 
 def _extension_blocked(placed, y, adj) -> bool:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import re
 import sys
 import time
@@ -168,6 +170,8 @@ def cmd_bench(args) -> int:
     json_out = out.with_suffix(".json")
     if json_out == out:  # the JSON report would overwrite the CSV
         raise ConfigError(f"--out {out} must not end in .json: the JSON report goes beside it")
+    if not out.parent.is_dir():  # the error writing the report would raise, before anything runs
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out))
     report = bench_mod.run_benchmark(args.config)
     report.write_csv(out)
     report.write_json(json_out)

@@ -421,18 +421,6 @@ class AccessIndex:
             (len(g.values) for gm in self.groups for g in gm.values()), default=0
         )
 
-    def _descend(self, vals, C, kp, start, stats):
-        for i in range(start, len(self.order)):
-            nu = tuple(vals[j] for j in self._npos[i])
-            grp = self.groups[i][nu]
-            M = C // grp.cums[-1]
-            idx = bisect_gt(grp.cums, kp // M, stats)
-            before = grp.cums[idx - 1] if idx else 0
-            kp -= M * before
-            C = M * (grp.cums[idx] - before)
-            vals[i] = grp.values[idx]
-        return AnswerTuple(self.query.head, tuple(vals[j] for j in self._head_pick))
-
     def access(self, k: int, stats: Stats | None = None) -> AnswerTuple:
         if k < 0 or k >= self.count:
             raise OutOfRange(k, self.count)
@@ -443,7 +431,14 @@ class AccessIndex:
             start = len(self.anchor_vals[j])
             vals[:start] = self.anchor_vals[j]
             C, k = self.cums[j] - before, k - before
-        return self._descend(vals, C, k, start, stats)
+        for i in range(start, len(self.order)):
+            grp = self.groups[i][tuple(vals[j] for j in self._npos[i])]
+            M = C // grp.cums[-1]
+            idx = bisect_gt(grp.cums, k // M, stats)
+            before = grp.cums[idx - 1] if idx else 0
+            k, C = k - M * before, M * (grp.cums[idx] - before)
+            vals[i] = grp.values[idx]
+        return AnswerTuple(self.query.head, tuple(vals[j] for j in self._head_pick))
 
 
 def _check_routed(report: TractabilityReport, mode: str) -> None:

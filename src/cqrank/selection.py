@@ -48,8 +48,9 @@ def conditional_value_counts(q: Query, db: Instance, fixed: dict, x: str, _bound
 def weighted_select(items, k: int, rng, key=None):
     """Value whose block (ordering items by value) contains rank k, plus the
     offset of k inside that block; ``OutOfRange(k, total weight)`` when k is
-    outside the blocks. Random-pivot partitioning, no sorting; each item's
-    order key (``key``, else ``value_key``) is computed once."""
+    outside the blocks. Each item's order key (``key``, else ``value_key``)
+    is computed once. No sorting: each round draws a pivot and keeps the items
+    below it, stops inside the pivot's weight, or keeps the items above it."""
     total = sum(w for _, w in items)
     if k < 0 or k >= total:
         raise OutOfRange(k, total)
@@ -57,24 +58,15 @@ def weighted_select(items, k: int, rng, key=None):
     work = [(keyf(v), v, w) for v, w in items]
     while True:
         pk, pivot, _ = work[rng.randrange(len(work))]
-        lt, gt = [], []
-        wlt = weq = 0
-        for item in work:
-            kv, _, w = item
-            if kv < pk:
-                lt.append(item)
-                wlt += w
-            elif kv > pk:
-                gt.append(item)
-            else:
-                weq += w
+        lt = [t for t in work if t[0] < pk]
+        wlt = sum(t[2] for t in lt)
+        weq = sum(w for kv, _, w in work if kv == pk)
         if k < wlt:
             work = lt
         elif k < wlt + weq:
             return pivot, k - wlt
         else:
-            k -= wlt + weq
-            work = gt
+            k, work = k - wlt - weq, [t for t in work if t[0] > pk]
 
 
 def _select(q: Query, db: Instance, order: OrderSpec, k: int, seed, stats: Stats | None,

@@ -14,7 +14,7 @@ from cqrank.bench import (
     write_instance_csvs,
 )
 from cqrank.errors import ConfigError
-from cqrank.model import load_relation
+from cqrank.model import OrderSpec, load_relation
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -168,6 +168,23 @@ def test_rows_past_the_result_cap_go_unverified_not_failed():
     for m in ("da", "sa", "topk-heap"):
         assert "error" not in rows[m] and rows[m]["verified"] is None, rows[m]
     assert rows["full-sort"]["error"] == "ResultTooLarge"
+
+
+def test_sort_before_join_rows_are_verified_under_lex_b(monkeypatch):
+    """sort-before-join ranks under ``lex: B``, the order it requires, so
+    its rows are checked against that order's oracle: a run that ranked
+    under another order aborts."""
+    import cqrank.bench as bench
+
+    config = {"experiments": [{"id": "B", "n": 60, "join_size": "large", "seed": 1,
+                               "methods": ["da", "sort-before-join"]}]}
+    rows = [r for r in run_benchmark(config).rows if r["method"] == "sort-before-join"]
+    assert len(rows) >= 3 and all(r["order"] == "lex:B" and r["verified"] is True for r in rows), rows
+    real = bench.sort_before_join_access
+    monkeypatch.setattr(bench, "sort_before_join_access",
+                        lambda q, db, order, k: real(q, db, OrderSpec("lex", ("C",)), k))
+    with pytest.raises(AssertionError, match="verification failed"):
+        run_benchmark(config)
 
 
 def test_bench_query_shape():

@@ -208,6 +208,22 @@ def test_cli_bench_refuses_a_json_out_path(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_cli_bench_out_in_a_missing_directory_runs_nothing(tmp_path, capsys, monkeypatch):
+    """The io_error that writing the report would raise comes before any
+    instance is generated, warm-up included."""
+    made = []
+    real = cli.bench_mod.generate_instance
+    monkeypatch.setattr(cli.bench_mod, "generate_instance", lambda cfg: (made.append(cfg), real(cfg))[1])
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"experiments": [{"id": "C", "ns": [40], "seeds": [1]}]}))
+    out = tmp_path / "missing" / "report.csv"
+    rc = main(["bench", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1 and made == []
+    (line,) = _lines(capsys)
+    assert line == {"error": "io_error", "detail": f"[Errno 2] No such file or directory: '{out}'"}
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("text", [
     '{"experiments": [',                                           # not JSON
     '{"experiments": [{"id": "A", "ns": "x"}]}',                   # not a list
