@@ -18,8 +18,10 @@ direct-access descent needs.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import insort
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heappop, heappush
 from itertools import combinations
 
 from .model import LEX, OrderSpec, Query
@@ -41,17 +43,27 @@ class JoinTree:
     parent: tuple[int | None, ...]
     root: int
 
+    @cached_property
+    def _adjacent(self) -> list[list[int]]:
+        """Each node's tree neighbours, ascending."""
+        adj: list[list[int]] = [[] for _ in self.parent]
+        for v, p in enumerate(self.parent):
+            if p is not None:
+                insort(adj[p], v)
+                insort(adj[v], p)
+        return adj
+
     def walk(self, root: int) -> tuple[list[int | None], list[list[int]], list[int]]:
         """One DFS from ``root``: each node's parent (``None`` at ``root``),
         its children in node order, and a postorder that ends with ``root``."""
-        n, up = len(self.parent), self.parent
+        n, adj = len(self.parent), self._adjacent
         parent: list[int | None] = [None] * n
         children: list[list[int]] = [[] for _ in range(n)]
         order, stack = [], [root]
         while stack:
             u = stack.pop()
             order.append(u)
-            children[u] = [v for v in range(n) if v != parent[u] and (up[v] == u or up[u] == v)]
+            children[u] = [v for v in adj[u] if v != parent[u]]
             for v in children[u]:
                 parent[v] = u
             stack.extend(children[u])
@@ -72,21 +84,42 @@ def gyo_join_tree(edges) -> JoinTree | Cyclic:
     such edge, both in ascending index, and removes it. The passes stop when
     no live edge is contained in another. Acyclic iff every live edge left
     is empty.
+
+    Each vertex keeps the set of live edges that hold it. After the first
+    pass, only the removed edge's vertices can drop, from the edge it was
+    linked to. An edge contained in no other stays so until it shrinks, so
+    a heap of edges that may be contained, checked in index order, finds
+    each pass's link without a scan over all pairs.
     """
     node_vars = tuple(frozenset(e) for e in edges)
     current = [set(e) for e in edges]
     alive = list(range(len(edges)))  # kept ascending; iteration stays deterministic
     parent: list[int | None] = [None] * len(edges)
+    holders: dict = {}  # vertex -> the live edges that hold it
+    for i, e in enumerate(current):
+        for v in e:
+            holders.setdefault(v, set()).add(i)
+    drop, maybe = list(holders), list(alive)  # maybe: a heap of live edges that may be contained
     while True:
-        live = Counter(v for i in alive for v in current[i])
-        once = {v for v, n in live.items() if n == 1}
-        for i in alive:
-            current[i] -= once
-        link = next(((i, j) for i in alive for j in alive if i != j and current[i] <= current[j]), None)
-        if link is None:
+        for v in drop:
+            if len(holders[v]) == 1:
+                j = holders[v].pop()
+                current[j].discard(v)
+                heappush(maybe, j)
+        while maybe:
+            i = heappop(maybe)
+            if parent[i] is None:
+                hosts = (set.intersection(*(holders[v] for v in current[i])) if current[i]
+                         else set(alive[:2])) - {i}
+                if hosts:
+                    break
+        else:
             break
-        alive.remove(link[0])
-        parent[link[0]] = link[1]
+        alive.remove(i)
+        parent[i] = min(hosts)
+        for v in current[i]:
+            holders[v].discard(i)
+        drop = current[i]
 
     residue = tuple(frozenset(current[i]) for i in alive if current[i])
     if residue:
@@ -117,49 +150,97 @@ def head_adjacency(q: Query) -> dict[str, set[str]]:
     return adj
 
 
-def find_disruptive_trio(q: Query, order) -> tuple[str, str, str] | None:
+def head_masks(q: Query) -> tuple[dict[str, int], list[int]]:
+    """The head graph as bitmasks: each head variable's position in head order,
+    and per position the head variables it shares an atom with (bit i for
+    ``q.head[i]``, never its own bit)."""
+    bit = {v: i for i, v in enumerate(q.head)}
+    nbrs = [0] * len(q.head)
+    for a in q.atoms:
+        hv = [bit[v] for v in a.vars if v in bit]
+        m = sum(1 << i for i in set(hv))
+        for i in hv:
+            nbrs[i] |= m
+    return bit, [m & ~(1 << i) for i, m in enumerate(nbrs)]
+
+
+def _bits(s: int):
+    """The positions of the set bits of s, lowest first."""
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
+
+
+def _is_clique(nbrs: list[int], s: int) -> bool:
+    """Do the variables of mask s pairwise share an atom?"""
+    return all(s & ~nbrs[i] == 1 << i for i in _bits(s))
+
+
+def find_disruptive_trio(q: Query, order, graph=None) -> tuple[str, str, str] | None:
     """Lexicographically first trio by order positions (a, b, c), or None: two
-    of order[c]'s earlier head neighbours, at a < b, that share no atom."""
-    order, adj = tuple(order), head_adjacency(q)
-    pos = {v: i for i, v in enumerate(order)}
-    trio = min(((a, b, c) for c, x3 in enumerate(order)
-                for a, b in combinations(sorted(pos[x] for x in adj[x3] if pos.get(x, c) < c), 2)
-                if order[b] not in adj[order[a]]), default=None)
-    return None if trio is None else tuple(order[i] for i in trio)
+    of order[c]'s earlier head neighbours, at a < b, that share no atom. Only
+    a variable whose earlier neighbours do not form a clique closes a trio,
+    so only such a variable's neighbours are paired up. ``graph`` is
+    ``head_masks(q)``."""
+    order = tuple(order)
+    bit, nbrs = graph or head_masks(q)
+    idx = [bit[v] for v in order]
+    pos = {i: p for p, i in enumerate(idx)}
+    best, earlier = None, 0
+    for c, x in enumerate(idx):
+        s = nbrs[x] & earlier
+        earlier |= 1 << x
+        if not _is_clique(nbrs, s):
+            a, b = next((a, b) for a, b in combinations(sorted(pos[i] for i in _bits(s)), 2)
+                        if not nbrs[idx[a]] >> idx[b] & 1)
+            best = min(best or (a, b, c), (a, b, c))
+    return None if best is None else tuple(order[i] for i in best)
 
 
-def _extension_blocked(placed, y, adj) -> bool:
-    """Would appending y create a trio (y as the late variable x3)?"""
-    nbrs = adj[y].intersection(placed)
-    for x in nbrs:  # nbrs - adj[x] always holds x itself
-        if len(nbrs - adj[x]) > 1:
-            return True
-    return False
-
-
-def complete_order(q: Query, partial) -> tuple[str, ...] | None:
+def complete_order(q: Query, partial, graph=None) -> tuple[str, ...] | None:
     """Extend a partial lex list to a full trio-free order, or None.
 
     A prefix with a disruptive trio has none. Otherwise an exhaustive
     depth-first search appends, in head order, each unranked head variable
     that closes no trio, so the first full order it reaches is deterministic.
+    The search is one loop over a stack that holds, per depth, the lowest
+    head position still to try there. A variable closes no trio iff its placed
+    neighbours are a clique; that is decided once per (variable, placed
+    neighbours) pair in a call. ``graph`` is ``head_masks(q)``.
     """
     prefix = tuple(partial)
-    if find_disruptive_trio(q, prefix) is not None:
+    graph = graph or head_masks(q)
+    if find_disruptive_trio(q, prefix, graph) is not None:
         return None
-    adj = head_adjacency(q)
-
-    def extend(placed, remaining):
-        if not remaining:
-            return placed
-        for i, v in enumerate(remaining):
-            if not _extension_blocked(placed, v, adj):
-                done = extend(placed + (v,), remaining[:i] + remaining[i + 1:])
-                if done is not None:
-                    return done
-        return None
-
-    return extend(prefix, tuple(v for v in q.head if v not in prefix))
+    bit, nbrs = graph
+    full = (1 << len(nbrs)) - 1
+    placed = sum(1 << i for i in {bit[v] for v in prefix})
+    path, starts, fits = [], [0], [{} for _ in nbrs]
+    while starts:
+        if placed == full:
+            return prefix + tuple(q.head[i] for i in path)
+        free = full & ~placed & -(1 << starts[-1])
+        while free:  # the unplaced variables from starts[-1] on, in head order
+            low = free & -free
+            i = low.bit_length() - 1
+            s = nbrs[i] & placed
+            fit = fits[i].get(s)
+            if fit is None:
+                fit = fits[i][s] = _is_clique(nbrs, s)
+            if fit:
+                break
+            free ^= low
+        if free:
+            starts[-1] = i + 1
+            placed |= low
+            path.append(i)
+            starts.append(0)
+        else:  # no candidate left at this depth: take back the last variable placed
+            starts.pop()
+            if path:
+                placed ^= 1 << path.pop()
+    return None
 
 
 def sum_anchor_atom(q: Query, weight_vars) -> int | None:
@@ -224,7 +305,8 @@ def analyze(q: Query, o: OrderSpec) -> TractabilityReport:
     else:  # the anchor atom's head variables, in head order; none without an anchor
         prefix = tuple(v for v in q.head if anchor is not None and v in q.atoms[anchor].var_set)
     # a sum order without an anchor seeks no completion: its tie-break is head order
-    completed = None if o.kind != LEX and anchor is None else complete_order(q, prefix)
+    graph = head_masks(q)
+    completed = None if o.kind != LEX and anchor is None else complete_order(q, prefix, graph)
     tie_break = completed if completed is not None else \
         prefix + tuple(v for v in q.head if v not in set(prefix))
     if not fc:
@@ -239,7 +321,7 @@ def analyze(q: Query, o: OrderSpec) -> TractabilityReport:
         direct = single = ModeVerdict(True)
     else:  # a lex order: a sum anchor's head variables are a clique, and every clique
         # of a free-connex query's chordal head graph starts a trio-free order
-        trio = find_disruptive_trio(q, tie_break)
+        trio = find_disruptive_trio(q, tie_break, graph)
         reason = "disruptive_trio" if len(o.vars) == len(q.head) else "no_trio_free_completion"
         direct, single = ModeVerdict(False, (reason,)), ModeVerdict(True)
 

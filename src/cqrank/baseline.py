@@ -45,29 +45,48 @@ def _join_plan(q: Query, db: Instance, first: int = 0):
     the plan binds them."""
     bound = bound_atoms(q, db)
     plan_vars = bound[first].vars
+    have = set(plan_vars)
     rest = [i for i in range(len(bound)) if i != first]
     steps = []
     while rest:
-        nxt = next((i for i in rest if set(bound[i].vars) & set(plan_vars)), rest[0])
+        nxt = next((i for i in rest if not have.isdisjoint(bound[i].vars)), rest[0])
         rest.remove(nxt)
         b = bound[nxt]
-        shared = [v for v in b.vars if v in plan_vars]
-        new = [v for v in b.vars if v not in plan_vars]
+        shared = [v for v in b.vars if v in have]
+        new = [v for v in b.vars if v not in have]
         row_key, row_new = _proj(b.vars, shared), _proj(b.vars, new)
         bucket: dict[tuple, list] = {}
         for r in b.rows:
             bucket.setdefault(row_key(r), []).append(row_new(r))
         steps.append((_proj(plan_vars, shared), bucket))
         plan_vars += tuple(new)
+        have.update(new)
     return bound[first].rows, steps, plan_vars
 
 
 def _extend(rows, steps):
-    """Each row extended through the probe steps, lazily and depth first."""
+    """Each row extended through the probe steps, lazily and depth first.
+
+    One loop over a stack of iterators, one per step reached, so a plan of
+    any length nests no generators. The iterator on top of a full stack
+    needs only the last step, and a plain loop drains it."""
     if not steps:
-        return iter(rows)
-    key, bucket = steps[-1]
-    return (acc + ext for acc in _extend(rows, steps[:-1]) for ext in bucket.get(key(acc), ()))
+        yield from rows
+        return
+    *inner, (key, bucket) = steps
+    stack = [iter(rows)]
+    while stack:
+        if len(stack) > len(inner):
+            for acc in stack.pop():
+                for ext in bucket.get(key(acc), ()):
+                    yield acc + ext
+            continue
+        acc = next(stack[-1], None)
+        if acc is None:
+            stack.pop()
+        else:
+            k, b = inner[len(stack) - 1]
+            stack.append(map(acc.__add__, b.get(k(acc), ())))
 
 
 def stream_answers(q: Query, db: Instance):

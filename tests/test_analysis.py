@@ -266,12 +266,13 @@ def test_hypergraph_of_query(qproj):
 def test_analyze_completes_the_order_once(q3path, monkeypatch, order_text, completed, tie_break):
     import cqrank.analysis as mod
 
-    calls = []
-    real = mod.complete_order
+    calls, graphs = [], []
+    real, real_masks = mod.complete_order, mod.head_masks
     monkeypatch.setattr(mod, "complete_order", lambda *a: (calls.append(a), real(*a))[1])
+    monkeypatch.setattr(mod, "head_masks", lambda q: (graphs.append(q), real_masks(q))[1])
     o = parse_order(order_text, q3path)
     r = analyze(q3path, o)
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(graphs) == 1  # the trio scans reuse the one head graph
     assert r.completed_order == completed and r.tie_break_order == tie_break
     assert effective_order(q3path, o) == tie_break
 
@@ -332,3 +333,48 @@ def test_complete_order_is_the_first_trio_free_permutation_in_head_order():
         want = next((prefix + perm for perm in itertools.permutations(rest)
                      if _brute_first_trio(q, prefix + perm) is None), None)
         assert complete_order(q, prefix) == want, (q, prefix)
+
+
+def _extension_blocked(placed, y, adj) -> bool:
+    """Would appending y create a trio (y as the late variable x3)?"""
+    nbrs = adj[y].intersection(placed)
+    for x in nbrs:  # nbrs - adj[x] always holds x itself
+        if len(nbrs - adj[x]) > 1:
+            return True
+    return False
+
+
+def _recursive_complete_order(q, partial):
+    """The recursive backtracker that ``complete_order`` replaced, kept as the
+    reference for its visiting order."""
+    prefix = tuple(partial)
+    if find_disruptive_trio(q, prefix) is not None:
+        return None
+    adj = head_adjacency(q)
+
+    def extend(placed, remaining):
+        if not remaining:
+            return placed
+        for i, v in enumerate(remaining):
+            if not _extension_blocked(placed, v, adj):
+                done = extend(placed + (v,), remaining[:i] + remaining[i + 1:])
+                if done is not None:
+                    return done
+        return None
+
+    return extend(prefix, tuple(v for v in q.head if v not in prefix))
+
+
+def test_complete_order_equals_the_recursive_backtracker():
+    """The loop over neighbour masks visits the candidates in the recursion's
+    order, so both return the same first completion, or both None."""
+    rng = random.Random(79)
+    completed = failed = 0
+    for _ in range(1200):
+        q = _random_query_with_existentials(rng)
+        prefix = tuple(rng.sample(q.head, rng.randint(0, len(q.head))))
+        want = _recursive_complete_order(q, prefix)
+        assert complete_order(q, prefix) == want, (q, prefix)
+        completed += want is not None
+        failed += want is None
+    assert completed > 300 and failed > 300

@@ -60,6 +60,21 @@ def test_only_the_pause_helper_switches_the_collector():
     assert inside == 2 and outside == []
 
 
+def test_package_never_raises_the_recursion_limit():
+    """Wide queries are served by loops, not by deeper recursion: no module may
+    call ``sys.setrecursionlimit`` or import it under another name."""
+    modules = sorted(Path(cqrank.__file__).resolve().parent.rglob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "setrecursionlimit"
+        or isinstance(node, ast.Name) and node.id == "setrecursionlimit"
+        or isinstance(node, ast.ImportFrom) and any(a.name == "setrecursionlimit" for a in node.names)
+    ]
+    assert len(modules) > 5 and found == []
+
+
 def test_every_public_name_resolves():
     missing = [name for name in cqrank.__all__ if not hasattr(cqrank, name)]
     assert len(cqrank.__all__) > 30 and missing == []
