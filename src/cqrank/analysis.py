@@ -24,7 +24,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from itertools import combinations
 
-from .model import LEX, OrderSpec, Query
+from .model import LEX, OrderSpec, Query, check_order
 
 DIRECT_LEX = "DirectLex"
 DIRECT_SUM = "DirectSum"
@@ -138,30 +138,24 @@ def check_free_connex(q: Query) -> tuple[bool, bool]:
     return True, isinstance(extended, JoinTree)
 
 
-def head_adjacency(q: Query) -> dict[str, set[str]]:
-    """Primal-graph adjacency restricted to head variables (share an atom)."""
-    adj: dict[str, set[str]] = {v: set() for v in q.head}
-    for a in q.atoms:
-        hv = [v for v in dict.fromkeys(a.vars) if v in q.head_set]
-        for i, x in enumerate(hv):
-            for y in hv[i + 1:]:
-                adj[x].add(y)
-                adj[y].add(x)
-    return adj
-
-
-def head_masks(q: Query) -> tuple[dict[str, int], list[int]]:
-    """The head graph as bitmasks: each head variable's position in head order,
-    and per position the head variables it shares an atom with (bit i for
-    ``q.head[i]``, never its own bit)."""
+def head_masks(q: Query) -> tuple[dict[str, int], list[int], list[int]]:
+    """The head graph as bitmasks (bit i for ``q.head[i]``): each head variable's
+    position in head order, per position the head variables it shares an atom
+    with (never its own bit), and per atom its head variables."""
     bit = {v: i for i, v in enumerate(q.head)}
-    nbrs = [0] * len(q.head)
+    nbrs, atoms = [0] * len(q.head), []
     for a in q.atoms:
         hv = [bit[v] for v in a.vars if v in bit]
         m = sum(1 << i for i in set(hv))
+        atoms.append(m)
         for i in hv:
             nbrs[i] |= m
-    return bit, [m & ~(1 << i) for i, m in enumerate(nbrs)]
+    return bit, [m & ~(1 << i) for i, m in enumerate(nbrs)], atoms
+
+
+def _covering_atom(atom_masks: list[int], need: int) -> int | None:
+    """The lowest-index atom whose head-variable mask contains ``need``, or None."""
+    return next((j for j, m in enumerate(atom_masks) if need & ~m == 0), None)
 
 
 def _bits(s: int):
@@ -184,7 +178,7 @@ def find_disruptive_trio(q: Query, order, graph=None) -> tuple[str, str, str] | 
     so only such a variable's neighbours are paired up. ``graph`` is
     ``head_masks(q)``."""
     order = tuple(order)
-    bit, nbrs = graph or head_masks(q)
+    bit, nbrs, _ = graph or head_masks(q)
     idx = [bit[v] for v in order]
     pos = {i: p for p, i in enumerate(idx)}
     best, earlier = None, 0
@@ -213,7 +207,7 @@ def complete_order(q: Query, partial, graph=None) -> tuple[str, ...] | None:
     graph = graph or head_masks(q)
     if find_disruptive_trio(q, prefix, graph) is not None:
         return None
-    bit, nbrs = graph
+    bit, nbrs, _ = graph
     full = (1 << len(nbrs)) - 1
     placed = sum(1 << i for i in {bit[v] for v in prefix})
     path, starts, fits = [], [0], [{} for _ in nbrs]
@@ -240,15 +234,6 @@ def complete_order(q: Query, partial, graph=None) -> tuple[str, ...] | None:
             starts.pop()
             if path:
                 placed ^= 1 << path.pop()
-    return None
-
-
-def sum_anchor_atom(q: Query, weight_vars) -> int | None:
-    """Lowest-index atom containing every weight variable, or None."""
-    want = set(weight_vars)
-    for i, a in enumerate(q.atoms):
-        if want <= a.var_set:
-            return i
     return None
 
 
@@ -296,16 +281,18 @@ class TractabilityReport:
 
 
 def analyze(q: Query, o: OrderSpec) -> TractabilityReport:
-    """Route a (query, order) pair to the engines that can serve it."""
+    """Route a (query, order) pair to the engines that can serve it. The
+    order's variables are checked as ``parse_order`` checks them."""
+    check_order(q, o)
     acyclic, fc = check_free_connex(q)
     trio = None
-    anchor = None if o.kind == LEX else sum_anchor_atom(q, o.vars)
+    bit, _, atoms = graph = head_masks(q)
+    anchor = None if o.kind == LEX else _covering_atom(atoms, sum(1 << bit[v] for v in o.vars))
     if o.kind == LEX:
         prefix = tuple(o.vars)
     else:  # the anchor atom's head variables, in head order; none without an anchor
-        prefix = tuple(v for v in q.head if anchor is not None and v in q.atoms[anchor].var_set)
+        prefix = () if anchor is None else tuple(q.head[i] for i in _bits(atoms[anchor]))
     # a sum order without an anchor seeks no completion: its tie-break is head order
-    graph = head_masks(q)
     completed = None if o.kind != LEX and anchor is None else complete_order(q, prefix, graph)
     tie_break = completed if completed is not None else \
         prefix + tuple(v for v in q.head if v not in set(prefix))
@@ -347,10 +334,10 @@ class VariableTree:
     """Reverse perfect-elimination structure over a trio-free full order.
 
     ``nsets[i]`` lists the preceding neighbors of order[i] (in order position),
-    ``parent[i]`` is the deepest of them, ``anchor[i]`` an atom covering
-    {order[i]} ∪ nsets[i] (conformality guarantees one), and ``assigned[i]``
-    the atoms whose deepest head variable is order[i]. Atoms without head
-    variables land in ``scalar_atoms``.
+    ``parent[i]`` is the deepest of them, ``anchor[i]`` the lowest-index atom
+    covering {order[i]} ∪ nsets[i] (conformality guarantees one), and
+    ``assigned[i]`` the atoms whose deepest head variable is order[i]. Atoms
+    without head variables land in ``scalar_atoms``.
     """
 
     order: tuple[str, ...]
@@ -372,36 +359,28 @@ class VariableTree:
 
 
 def build_variable_tree(q: Query, order) -> VariableTree:
+    """The ``VariableTree`` of a full order, read off ``head_masks(q)``: the
+    neighbours placed before each variable, their lowest covering atom, and
+    each atom's deepest head variable. ``AssertionError`` if the order has a
+    disruptive trio, or if no atom covers a variable and those neighbours."""
     order = tuple(order)
-    if (trio := find_disruptive_trio(q, order)) is not None:
+    graph = head_masks(q)
+    if (trio := find_disruptive_trio(q, order, graph)) is not None:
         raise AssertionError(f"order {order} has the disruptive trio {trio}")
-    pos = {v: i for i, v in enumerate(order)}
-    adj = head_adjacency(q)
-
-    nsets, parent, anchor = [], [], []
-    for i, w in enumerate(order):
-        ns = sorted((x for x in adj[w] if pos[x] < i), key=pos.get)
-        nsets.append(tuple(ns))
-        parent.append(pos[ns[-1]] if ns else None)
-        need = set(ns) | {w}
-        e = next((j for j, a in enumerate(q.atoms) if need <= a.var_set), None)
-        if e is None:
-            raise AssertionError(f"no atom covers {need}; hypergraph not conformal?")
-        anchor.append(e)
-
-    assigned = [[] for _ in order]
-    scalar = []
-    for j, a in enumerate(q.atoms):
-        hv = [pos[v] for v in a.var_set if v in pos]
-        if hv:
-            assigned[max(hv)].append(j)
-        else:
-            scalar.append(j)
-    return VariableTree(
-        order=order,
-        nsets=tuple(nsets),
-        parent=tuple(parent),
-        anchor=tuple(anchor),
-        assigned=tuple(tuple(v) for v in assigned),
-        scalar_atoms=tuple(scalar),
-    )
+    bit, nbrs, atoms = graph
+    pos = {bit[v]: i for i, v in enumerate(order)}  # head position -> order position
+    nsets, parent, anchor, earlier = [], [], [], 0
+    for w in order:
+        x = bit[w]
+        ns = sorted(pos[j] for j in _bits(nbrs[x] & earlier))
+        nsets.append(tuple(order[p] for p in ns))
+        parent.append(ns[-1] if ns else None)
+        anchor.append(_covering_atom(atoms, nbrs[x] & earlier | 1 << x))
+        if anchor[-1] is None:
+            raise AssertionError(f"no atom covers {set(nsets[-1]) | {w}}; hypergraph not conformal?")
+        earlier |= 1 << x
+    assigned, scalar = [[] for _ in order], []
+    for j, m in enumerate(atoms):
+        (assigned[max(pos[i] for i in _bits(m))] if m else scalar).append(j)
+    return VariableTree(order=order, nsets=tuple(nsets), parent=tuple(parent), anchor=tuple(anchor),
+                        assigned=tuple(map(tuple, assigned)), scalar_atoms=tuple(scalar))

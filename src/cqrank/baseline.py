@@ -30,7 +30,7 @@ from .errors import (
     ResultTooLarge,
 )
 from .model import (LEX, SUM, AnswerTuple, Instance, OrderSpec, Query, _no_gc, bound_atoms,
-                    check_weight_columns, value_key)
+                    check_rank, check_weight_columns, value_key)
 
 FULL_SORT = "FullSort"
 TOPK_HEAP = "TopKHeap"
@@ -139,6 +139,7 @@ def topk_heap_access(q: Query, db: Instance, o: OrderSpec, k: int, cap: int = 10
     """Bounded-heap access, with the planner's switch to a full sort once
     k ≥ |J|/2; the exact count comes from a pre-pass (we control both sides).
     Returns (answer, StrategyLog)."""
+    check_rank(k)
     if o.kind == SUM:
         check_weight_columns(q, db, o)
     count = sum(1 for _ in stream_answers(q, db))
@@ -184,6 +185,7 @@ def sort_before_join_access(q: Query, db: Instance, o: OrderSpec, k: int):
     containing position k is complete. Ties beyond the attribute are
     re-ranked inside that one block with the deterministic tie-break.
     Returns (answer, EarlyStopLog)."""
+    check_rank(k)
     if o.kind != LEX or len(o.vars) != 1:
         raise NotApplicable("sort-before-join needs a single-attribute lex order")
     first = _path_start(q)
@@ -221,6 +223,8 @@ def emit_sql(q: Query, o: OrderSpec, positions, dialect: str) -> str:
     if dialect not in (OFFSET_LIMIT, CTE_ROW_NUMBER):
         raise ValueError(f"unknown dialect {dialect!r}")
     positions = list(positions)
+    for k in positions:
+        check_rank(k)
     if dialect == OFFSET_LIMIT and len(positions) != 1:
         raise MultiplePositionsWithOffsetDialect()
     if any(k < 0 for k in positions):

@@ -72,8 +72,8 @@ from .analysis import (
 )
 from .errors import NotRouted, OutOfRange
 from .instrument import Stats, bisect_gt, sorted_counted
-from .model import (AnswerTuple, Instance, Query, _no_gc, bound_atoms, check_weight_columns,
-                    tuple_key, value_key)
+from .model import (AnswerTuple, Instance, Query, _no_gc, bound_atoms, check_rank,
+                    check_weight_columns, tuple_key, value_key)
 
 
 class ReducedAtom:
@@ -422,6 +422,7 @@ class AccessIndex:
         )
 
     def access(self, k: int, stats: Stats | None = None) -> AnswerTuple:
+        check_rank(k)
         if k < 0 or k >= self.count:
             raise OutOfRange(k, self.count)
         vals, C, start = [None] * len(self.order), self.count, 0

@@ -23,6 +23,7 @@ from .errors import (
     DuplicateVariable,
     EmptyHeader,
     IntegerTooLong,
+    InvalidPositions,
     MissingRelation,
     NonFreeVariable,
     NonNumericWeightColumn,
@@ -244,18 +245,28 @@ def parse_order(text: str, q: Query) -> OrderSpec:
     vars_ = s.ident_list()
     if not s.eof():
         raise QuerySyntaxError("trailing input", s.pos, expected="end of order")
+    o = OrderSpec(kind, tuple(vars_))
+    check_order(q, o)
+    return o
 
-    seen = set()
-    body_vars = {v for a in q.atoms for v in a.vars}
-    for v in vars_:
+
+def check_order(q: Query, o: OrderSpec) -> None:
+    """``DuplicateVariable``, ``UnknownVariable`` or ``NonFreeVariable`` for
+    the first order variable that is repeated, not in the query, or not in
+    its head."""
+    seen, head = set(), q.head_set
+    for v in o.vars:
         if v in seen:
             raise DuplicateVariable(v)
         seen.add(v)
-        if v not in body_vars:
-            raise UnknownVariable(v)
-        if v not in q.head_set:
-            raise NonFreeVariable(v)
-    return OrderSpec(kind, tuple(vars_))
+        if v not in head:
+            raise NonFreeVariable(v) if v in q.variables else UnknownVariable(v)
+
+
+def check_rank(k) -> None:
+    """``InvalidPositions`` unless k is an ``int`` (a ``bool`` is not a rank)."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise InvalidPositions(repr(k), "integers")
 
 
 def format_order(o: OrderSpec) -> str:

@@ -10,8 +10,8 @@ the tree to that value (``fix``), so each later step scans only surviving
 rows and reuses every message whose side lost none. Past the weight check,
 its one branch on the order kind: a sum order first picks one of
 ``sum_blocks``' anchor blocks by the index's rank key; the tie-break order
-starts with that block's variables. ``weighted_select`` owns the range
-check: the first step's candidates sum to the answer count. A caller's
+starts with that block's variables. ``weighted_select`` owns the rank and
+range checks: the first step's candidates sum to the answer count. A caller's
 ``Stats`` goes to the tree. The tie-break order is the direct-access
 engine's, so both give identical tuples wherever both are routed.
 """
@@ -22,9 +22,10 @@ import random
 
 from .analysis import SINGLE_LEX, SINGLE_SUM, analyze
 from .engine import CountingTree, _check_routed, atom_tree, sum_blocks
-from .errors import OutOfRange, UnknownVariable
+from .errors import NotRouted, OutOfRange, UnknownVariable
 from .instrument import Stats
-from .model import LEX, AnswerTuple, Instance, OrderSpec, Query, bound_atoms, check_weight_columns, value_key
+from .model import (LEX, AnswerTuple, Instance, OrderSpec, Query, bound_atoms, check_rank,
+                    check_weight_columns, value_key)
 
 
 def _value_counts(ct: CountingTree, x: str) -> list[tuple]:
@@ -47,10 +48,12 @@ def conditional_value_counts(q: Query, db: Instance, fixed: dict, x: str, _bound
 
 def weighted_select(items, k: int, rng, key=None):
     """Value whose block (ordering items by value) contains rank k, plus the
-    offset of k inside that block; ``OutOfRange(k, total weight)`` when k is
-    outside the blocks. Each item's order key (``key``, else ``value_key``)
-    is computed once. No sorting: each round draws a pivot and keeps the items
-    below it, stops inside the pivot's weight, or keeps the items above it."""
+    offset of k inside that block; ``InvalidPositions`` when k is not an
+    ``int``, ``OutOfRange(k, total weight)`` when it is outside the blocks.
+    Each item's order key (``key``, else ``value_key``) is computed once. No
+    sorting: each round draws a pivot and keeps the items below it, stops
+    inside the pivot's weight, or keeps the items above it."""
+    check_rank(k)
     total = sum(w for _, w in items)
     if k < 0 or k >= total:
         raise OutOfRange(k, total)
@@ -71,9 +74,12 @@ def weighted_select(items, k: int, rng, key=None):
 
 def _select(q: Query, db: Instance, order: OrderSpec, k: int, seed, stats: Stats | None,
             report, mode: str) -> AnswerTuple:
-    """The selection body of both order kinds, routed as ``mode``."""
+    """The selection body of both order kinds, routed as ``mode``; ``report``
+    must be the analysis of ``order``."""
     if report is None:
         report = analyze(q, order)
+    elif report.order != order:
+        raise NotRouted(mode, ("report_for_another_order",))
     _check_routed(report, mode)
     if mode == SINGLE_SUM:
         check_weight_columns(q, db, report.order)

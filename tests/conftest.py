@@ -49,6 +49,20 @@ def order(text, q):
     return parse_order(text, q)
 
 
+def head_adjacency(q: Query) -> dict[str, set[str]]:
+    """Primal-graph adjacency restricted to head variables (share an atom),
+    built from variable names: the brute-force references' own head graph,
+    independent of ``analysis.head_masks``."""
+    adj: dict[str, set[str]] = {v: set() for v in q.head}
+    for a in q.atoms:
+        hv = [v for v in dict.fromkeys(a.vars) if v in q.head_set]
+        for i, x in enumerate(hv):
+            for y in hv[i + 1:]:
+                adj[x].add(y)
+                adj[y].add(x)
+    return adj
+
+
 def random_instance(q: Query, rng: random.Random, n: int, domain: int) -> Instance:
     """One n-row relation per atom name, cells iid uniform on [1, domain]."""
     rels = {}

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from cqrank.analysis import analyze, complete_order, head_adjacency
+from cqrank.analysis import analyze, complete_order
 from cqrank.baseline import (
     emit_sql,
     materialize_and_sort,
@@ -29,7 +29,7 @@ from cqrank.instrument import Stats
 from cqrank.model import Atom, Query, parse_order, parse_query
 from cqrank.selection import select_lex, select_sum
 
-from conftest import domain_for, random_instance
+from conftest import domain_for, head_adjacency, random_instance
 
 SHAPES = (
     ("Q(A,B,C) :- R(A,B), S(B,C).", "lex: A,B,C", "sum: B,C"),

@@ -1,11 +1,13 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from cqrank.analysis import (
     Cyclic,
     JoinTree,
+    VariableTree,
     analyze,
     build_variable_tree,
     check_free_connex,
@@ -13,9 +15,10 @@ from cqrank.analysis import (
     effective_order,
     find_disruptive_trio,
     gyo_join_tree,
-    head_adjacency,
 )
 from cqrank.model import Atom, Query, parse_order, parse_query
+
+from conftest import head_adjacency
 
 
 def _rip_ok(tree: JoinTree) -> bool:
@@ -378,3 +381,76 @@ def test_complete_order_equals_the_recursive_backtracker():
         completed += want is not None
         failed += want is None
     assert completed > 300 and failed > 300
+
+
+def _set_based_variable_tree(q, order) -> VariableTree:
+    """The set-based ``build_variable_tree`` that the mask-based one replaced,
+    kept as the reference for its trees and its two refusals."""
+    order = tuple(order)
+    if (trio := find_disruptive_trio(q, order)) is not None:
+        raise AssertionError(f"order {order} has the disruptive trio {trio}")
+    pos = {v: i for i, v in enumerate(order)}
+    adj = head_adjacency(q)
+
+    nsets, parent, anchor = [], [], []
+    for i, w in enumerate(order):
+        ns = sorted((x for x in adj[w] if pos[x] < i), key=pos.get)
+        nsets.append(tuple(ns))
+        parent.append(pos[ns[-1]] if ns else None)
+        need = set(ns) | {w}
+        e = next((j for j, a in enumerate(q.atoms) if need <= a.var_set), None)
+        if e is None:
+            raise AssertionError(f"no atom covers {need}; hypergraph not conformal?")
+        anchor.append(e)
+
+    assigned = [[] for _ in order]
+    scalar = []
+    for j, a in enumerate(q.atoms):
+        hv = [pos[v] for v in a.var_set if v in pos]
+        if hv:
+            assigned[max(hv)].append(j)
+        else:
+            scalar.append(j)
+    return VariableTree(
+        order=order,
+        nsets=tuple(nsets),
+        parent=tuple(parent),
+        anchor=tuple(anchor),
+        assigned=tuple(tuple(v) for v in assigned),
+        scalar_atoms=tuple(scalar),
+    )
+
+
+def _tree_or_refusal(build, q, order):
+    """The tree ``build`` gives, or which of its two checks refused the order."""
+    try:
+        return build(q, order)
+    except AssertionError as exc:
+        return next(kind for kind in ("disruptive trio", "no atom covers") if kind in str(exc))
+
+
+def test_variable_tree_equals_the_set_based_build():
+    """On 2 500 random queries, with atoms that hold no head variable or
+    repeat one, listed in shuffled order, both builds give the same tree for
+    a full order (a completion, or any permutation, trios included), or
+    both refuse it by the same check: a trio, or no covering atom on a
+    hypergraph that is not conformal."""
+    rng = random.Random(83)
+    outcomes = Counter()
+    for _ in range(2500):
+        q = _random_query_with_existentials(rng)
+        atoms = list(q.atoms)
+        if rng.random() < 0.3:
+            atoms.append(Atom("E", tuple(rng.choices(("X0", "X1"), k=rng.randint(1, 2)))))
+        if rng.random() < 0.3:
+            v = rng.choice(q.head)
+            atoms.append(Atom("D", (v, rng.choice(q.head), v)))
+        rng.shuffle(atoms)
+        q = Query("Q", q.head, tuple(atoms))
+        order = rng.sample(q.head, len(q.head))
+        if rng.random() < 0.5:
+            order = complete_order(q, order[:rng.randint(0, 2)]) or order
+        want = _tree_or_refusal(_set_based_variable_tree, q, order)
+        assert _tree_or_refusal(build_variable_tree, q, order) == want, (q, order)
+        outcomes["tree" if isinstance(want, VariableTree) else want] += 1
+    assert min(outcomes[k] for k in ("tree", "disruptive trio", "no atom covers")) > 300, outcomes

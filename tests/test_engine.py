@@ -11,16 +11,17 @@ import pytest
 
 import cqrank
 from cqrank.analysis import DIRECT_LEX, DIRECT_SUM, analyze
-from cqrank.baseline import materialize_and_sort
+from cqrank.baseline import emit_sql, materialize_and_sort, sort_before_join_access, topk_heap_access
 from cqrank.engine import (
     build_index,
     build_reduced_db,
     preprocess_lex,
     preprocess_sum,
 )
-from cqrank.errors import NotRouted, OutOfRange
+from cqrank.errors import InvalidPositions, NotRouted, OutOfRange
 from cqrank.instrument import Stats
 from cqrank.model import Instance, Relation, parse_order, parse_query
+from cqrank.selection import select
 
 from conftest import domain_for, random_acyclic_case, random_instance
 
@@ -178,6 +179,27 @@ def test_direct_access_examples(q2path, db1):
         ix.access(4)
     with pytest.raises(OutOfRange):
         ix.access(-1)
+
+
+@pytest.mark.parametrize("k", [1.5, True, "1"])
+def test_a_rank_that_is_not_an_int_is_refused_by_every_channel(q2path, db1, k):
+    """Direct access, selection (lex and sum), both baselines and both SQL
+    dialects raise ``InvalidPositions`` for a float, a bool or a str rank."""
+    lex, sum_ = parse_order("lex: B", q2path), parse_order("sum: B,C", q2path)
+    ix = build_index(q2path, db1, lex)
+    calls = {
+        "access": lambda: ix.access(k),
+        "select lex": lambda: select(q2path, db1, lex, k, seed=0),
+        "select sum": lambda: select(q2path, db1, sum_, k, seed=0),
+        "top-k": lambda: topk_heap_access(q2path, db1, lex, k),
+        "sort-before-join": lambda: sort_before_join_access(q2path, db1, lex, k),
+        "offset sql": lambda: emit_sql(q2path, lex, [k], "offset"),
+        "cte sql": lambda: emit_sql(q2path, lex, [0, k], "cte"),
+    }
+    for name, call in calls.items():
+        with pytest.raises(InvalidPositions, match="integers"):
+            call()
+            pytest.fail(f"{name} answered rank {k!r}")
 
 
 def test_answer_count_examples(q2path, db1):

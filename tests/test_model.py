@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cqrank.analysis import analyze
 from cqrank.errors import (
     ArityMismatch,
     DuplicateHeadVariable,
@@ -20,6 +21,7 @@ from cqrank.model import (
     AnswerTuple,
     Atom,
     Instance,
+    OrderSpec,
     Relation,
     bound_atoms,
     format_order,
@@ -90,6 +92,26 @@ def test_parse_order_errors():
     qp = parse_query("Qp(A) :- R(A,B).")
     with pytest.raises(NonFreeVariable):
         parse_order("lex: B", qp)
+
+
+@pytest.mark.parametrize("text,error", [
+    ("lex: A,A", DuplicateVariable),
+    ("sum: C,C", DuplicateVariable),
+    ("lex: Z", UnknownVariable),
+    ("sum: A,Z", UnknownVariable),
+    ("lex: B", NonFreeVariable),
+    ("sum: C,B", NonFreeVariable),
+])
+def test_analyze_checks_a_hand_built_order_as_parse_order_does(text, error):
+    """An ``OrderSpec`` built without ``parse_order`` meets the same checks
+    in ``analyze``: a repeated, unknown or existential variable is refused
+    before any routing."""
+    q = parse_query("Qp(A,C) :- R(A,B), S(B,C).")
+    kind, _, names = text.partition(": ")
+    with pytest.raises(error):
+        parse_order(text, q)
+    with pytest.raises(error):
+        analyze(q, OrderSpec(kind, tuple(names.split(","))))
 
 
 def test_parse_order_trailing_input_carries_position():

@@ -54,6 +54,18 @@ def test_each_engine_refuses_the_other_order_kind(q2path, db1):
             [own(q2path, db1, o, k, seed=k) for k in range(4)]
 
 
+def test_select_refuses_a_report_for_another_order(q2path, db1):
+    """A report routes and ranks under its own order, so ``select`` refuses
+    one made for another order (``report_for_another_order``) rather than
+    rank under the report's order."""
+    lex, sum_ = parse_order("lex: A,B,C", q2path), parse_order("sum: B,C", q2path)
+    for o, other in ((lex, parse_order("lex: C,B,A", q2path)), (sum_, parse_order("sum: C", q2path))):
+        with pytest.raises(NotRouted) as info:
+            select(q2path, db1, o, 1, report=analyze(q2path, other))
+        assert info.value.reasons == ("report_for_another_order",)
+    assert select(q2path, db1, lex, 1, report=analyze(q2path, lex)).values == (1, 2, 20)
+
+
 def test_conditional_value_counts_first_occurrence_order(q2path, db1):
     assert [v for v, _ in conditional_value_counts(q2path, db1, {}, "A")] == [1, 2]
 
