@@ -125,8 +125,8 @@ class OrderSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(self.vars))
-        if self.kind not in (LEX, SUM):
-            raise ValueError(f"unknown order kind {self.kind!r}")
+        if self.kind not in (LEX, SUM):  # as parse_order reads format_order's text
+            raise QuerySyntaxError("unknown order kind", 0, expected="'lex' or 'sum'")
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,21 @@ class AnswerTuple:
 
 # --- parsing -----------------------------------------------------------------
 
+# The query and order grammars, each read by one match. Every ``\s*`` stands
+# between two tokens, never beside another ``\s*``, so a text they reject
+# fails in time linear in its length.
+_ID = _IDENT_RE.pattern
+_IDS = rf"{_ID}(?:\s*,\s*{_ID})*"
+_ATOM = rf"{_ID}\s*\(\s*{_IDS}\s*\)"
+_QUERY_RE = re.compile(rf"\s*({_ID})\s*\(\s*({_IDS})\s*\)\s*:-\s*({_ATOM}(?:\s*,\s*{_ATOM})*)\s*\.\s*")
+_ATOM_RE = re.compile(rf"({_ID})\s*\(([^)]*)\)")
+_ORDER_RE = re.compile(rf"\s*(lex|sum)\s*:\s*({_IDS})\s*")
+
+
 class _Scanner:
+    """Walks a text its grammar rejected, token by token, and raises the
+    ``QuerySyntaxError`` naming the first position where the text leaves it."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -165,15 +179,15 @@ class _Scanner:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def eof(self) -> bool:
+    def at(self, token: str) -> bool:
         self.skip_ws()
-        return self.pos >= len(self.text)
+        found = self.text.startswith(token, self.pos)
+        self.pos += len(token) if found else 0
+        return found
 
     def expect(self, token: str):
-        self.skip_ws()
-        if not self.text.startswith(token, self.pos):
+        if not self.at(token):
             raise QuerySyntaxError("unexpected input", self.pos, expected=repr(token))
-        self.pos += len(token)
 
     def ident(self) -> str:
         self.skip_ws()
@@ -183,40 +197,49 @@ class _Scanner:
         self.pos = m.end()
         return m.group()
 
-    def ident_list(self) -> list[str]:
-        names = [self.ident()]
-        while True:
-            self.skip_ws()
-            if self.text.startswith(",", self.pos):
-                self.pos += 1
-                names.append(self.ident())
-            else:
-                return names
+    def ident_list(self):
+        self.ident()
+        while self.at(","):
+            self.ident()
+
+    def atom(self):
+        self.ident()
+        self.expect("(")
+        self.ident_list()
+        self.expect(")")
+
+    def end(self, what: str):
+        self.skip_ws()
+        if self.pos < len(self.text):
+            raise QuerySyntaxError("trailing input", self.pos, expected=f"end of {what}")
+
+    def query(self):
+        self.atom()  # the head
+        self.expect(":-")
+        self.atom()
+        while self.at(","):
+            self.atom()
+        self.expect(".")
+        self.end("query")
+
+    def order(self):
+        self.skip_ws()
+        start = self.pos
+        if self.ident() not in (LEX, SUM):
+            raise QuerySyntaxError("unknown order kind", start, expected="'lex' or 'sum'")
+        self.expect(":")
+        self.ident_list()
+        self.end("order")
 
 
 def parse_query(text: str) -> Query:
     """Parse ``Head(V1,...,Vp) :- Atom1, ..., Atomm .`` into a Query."""
-    s = _Scanner(text)
-    name = s.ident()
-    s.expect("(")
-    head = s.ident_list()
-    s.expect(")")
-    s.expect(":-")
-    atoms = []
-    while True:
-        rel = s.ident()
-        s.expect("(")
-        vars_ = s.ident_list()
-        s.expect(")")
-        atoms.append(Atom(rel, tuple(vars_)))
-        s.skip_ws()
-        if s.text.startswith(",", s.pos):
-            s.pos += 1
-            continue
-        s.expect(".")
-        break
-    if not s.eof():
-        raise QuerySyntaxError("trailing input", s.pos, expected="end of query")
+    m = _QUERY_RE.fullmatch(text)
+    if m is None:
+        _Scanner(text).query()  # raises
+    name, head, body = m.groups()
+    head = _IDENT_RE.findall(head)
+    atoms = [Atom(rel, tuple(_IDENT_RE.findall(vs))) for rel, vs in _ATOM_RE.findall(body)]
 
     seen = set()
     for v in head:
@@ -237,15 +260,10 @@ def format_query(q: Query) -> str:
 
 def parse_order(text: str, q: Query) -> OrderSpec:
     """Parse ``lex: V1,...,Vk`` or ``sum: V1,...,Vk`` against a query."""
-    s = _Scanner(text)
-    kind = s.ident()
-    if kind not in (LEX, SUM):
-        raise QuerySyntaxError("unknown order kind", 0, expected="'lex' or 'sum'")
-    s.expect(":")
-    vars_ = s.ident_list()
-    if not s.eof():
-        raise QuerySyntaxError("trailing input", s.pos, expected="end of order")
-    o = OrderSpec(kind, tuple(vars_))
+    m = _ORDER_RE.fullmatch(text)
+    if m is None:
+        _Scanner(text).order()  # raises
+    o = OrderSpec(m[1], tuple(_IDENT_RE.findall(m[2])))
     check_order(q, o)
     return o
 
@@ -253,7 +271,10 @@ def parse_order(text: str, q: Query) -> OrderSpec:
 def check_order(q: Query, o: OrderSpec) -> None:
     """``DuplicateVariable``, ``UnknownVariable`` or ``NonFreeVariable`` for
     the first order variable that is repeated, not in the query, or not in
-    its head."""
+    its head; for an order with no variables, the ``QuerySyntaxError`` that
+    ``parse_order`` gives its text."""
+    if not o.vars:
+        raise QuerySyntaxError("unexpected input", len(format_order(o)), expected="identifier")
     seen, head = set(), q.head_set
     for v in o.vars:
         if v in seen:

@@ -1,10 +1,14 @@
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
 from cqrank.model import Instance, Query, Relation, parse_order, parse_query
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # every property test draws the same examples on every run
 settings.register_profile("derandomized", derandomize=True)
@@ -47,6 +51,15 @@ def db1(q2path) -> Instance:
 
 def order(text, q):
     return parse_order(text, q)
+
+
+def perfbench_spec():
+    """``perfbench/spec.py``, loaded by path: the benchmark's workloads,
+    among them the analyze-wide batch of (label, query text, order text)."""
+    found = importlib.util.spec_from_file_location("perfbench_spec", ROOT / "perfbench" / "spec.py")
+    module = importlib.util.module_from_spec(found)
+    found.loader.exec_module(module)
+    return module
 
 
 def head_adjacency(q: Query) -> dict[str, set[str]]:

@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqrank.analysis import analyze
+from cqrank.baseline import OFFSET_LIMIT, emit_sql
 from cqrank.errors import (
     ArityMismatch,
     DuplicateHeadVariable,
@@ -119,6 +120,35 @@ def test_parse_order_trailing_input_carries_position():
     with pytest.raises(QuerySyntaxError) as e:
         parse_order("lex: A,B C", q)
     assert (e.value.pos, e.value.expected) == (9, "end of order")
+
+
+def test_parse_order_unknown_kind_carries_its_own_position():
+    q = parse_query("Q(A,B,C) :- R(A,B), S(B,C).")
+    with pytest.raises(QuerySyntaxError) as e:
+        parse_order("  max: A", q)
+    assert (e.value.pos, e.value.expected) == (2, "'lex' or 'sum'")
+
+
+@pytest.mark.parametrize("kind", ["lex", "sum"])
+def test_a_hand_built_order_without_variables_is_refused_as_its_text(kind):
+    """``OrderSpec(kind, ())`` raises, in ``analyze`` and in ``emit_sql``,
+    the error ``parse_order`` gives the text ``"lex: "`` or ``"sum: "``."""
+    q = parse_query("Q(A,B,C) :- R(A,B), S(B,C).")
+    with pytest.raises(QuerySyntaxError) as want:
+        parse_order(f"{kind}: ", q)
+    for call in (lambda o: analyze(q, o), lambda o: emit_sql(q, o, [1], OFFSET_LIMIT)):
+        with pytest.raises(QuerySyntaxError) as got:
+            call(OrderSpec(kind, ()))
+        assert (str(got.value), got.value.pos, got.value.expected) == (str(want.value), 5, "identifier")
+
+
+def test_a_hand_built_order_of_an_unknown_kind_is_refused_as_its_text():
+    q = parse_query("Q(A,B,C) :- R(A,B), S(B,C).")
+    with pytest.raises(QuerySyntaxError) as want:
+        parse_order("max: A", q)
+    with pytest.raises(QuerySyntaxError) as got:
+        OrderSpec("max", ("A",))
+    assert (str(got.value), got.value.pos, got.value.expected) == (str(want.value), 0, "'lex' or 'sum'")
 
 
 _ident = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)

@@ -1,7 +1,6 @@
 """Routing pinned end to end: the analyze-wide batch, exact join trees on
 tie-heavy hypergraphs, and direct access for every anchored sum order."""
 
-import importlib.util
 import json
 import random
 from pathlib import Path
@@ -10,7 +9,7 @@ import pytest
 
 from cqrank.analysis import DIRECT_SUM, JoinTree, analyze, check_free_connex, gyo_join_tree
 from cqrank.model import parse_order, parse_query
-from conftest import random_acyclic_case
+from conftest import perfbench_spec, random_acyclic_case
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,10 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_analyze_batch_matches_the_pinned_reports():
     """The 34 (query, order) pairs the analyze-wide workload serves give the
     reports it checks against, so a moved verdict fails here first."""
-    found = importlib.util.spec_from_file_location("perfbench_spec", ROOT / "perfbench" / "spec.py")
-    perfbench_spec = importlib.util.module_from_spec(found)
-    found.loader.exec_module(perfbench_spec)
-    batch = perfbench_spec.analyze_batch(11, 9)
+    batch = perfbench_spec().analyze_batch(11, 9)
     expected = json.loads((ROOT / "perfbench" / "analyze_expected.json").read_text(encoding="utf-8"))
     assert len(batch) == len(expected) == 34
     for label, query_text, order_text in batch:
