@@ -15,7 +15,7 @@ cq.validate_instance(q, db, order)
 report = cq.analyze(q, order)
 print("routing:", {m: v.ok for m, v in report.routing.items()})
 
-index = cq.preprocess_lex(q, db, report)
+index = cq.build_index(q, db, order, report=report)  # reuses the analysis
 print("answers:", index.count)
 
 for k in range(index.count):

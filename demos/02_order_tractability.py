@@ -21,13 +21,13 @@ bad = cq.parse_order("lex: A,C,B", q)
 report = cq.analyze(q, bad)
 print("trio witness:", report.trio)
 try:
-    cq.preprocess_lex(q, db, report)
+    cq.build_index(q, db, bad, report=report)
 except NotRouted as e:
     print("direct access refused:", e)
 
 # Single access has no such limitation: linear-time selection still works.
 for k in range(4):
-    print("select", k, cq.select_lex(q, db, bad, k, seed=0).as_dict())
+    print("select", k, cq.select(q, db, bad, k, seed=0, report=report).as_dict())
 
 # Partial orders are completed deterministically when a trio-free
 # completion exists; 'lex: A,C' has none, 'lex: B' does.
@@ -39,5 +39,5 @@ print("sum B,C:", cq.analyze(q, cq.parse_order("sum: B,C", q)).routing["DirectSu
 print("sum A,C:", cq.analyze(q, cq.parse_order("sum: A,C", q)).routing["DirectSum"].ok)
 
 sum_bc = cq.parse_order("sum: B,C", q)
-ix = cq.preprocess_sum(q, db, cq.analyze(q, sum_bc))
+ix = cq.build_index(q, db, sum_bc)  # either entry picks its engine by the order kind
 print("answers by B+C:", [ix.access(k).as_dict() for k in range(ix.count)])

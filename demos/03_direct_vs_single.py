@@ -16,13 +16,13 @@ for n in (10_000, 50_000):
         db = generate_instance(GenConfig(n, join_size, seed=1))
 
         t0 = time.perf_counter()
-        index = cq.preprocess_lex(q, db, report)
+        index = cq.build_index(q, db, order, report=report)
         median = (index.count - 1) // 2
         index.access(median)
         da = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        ans = cq.select_lex(q, db, order, median, seed=0, report=report)
+        ans = cq.select(q, db, order, median, seed=0, report=report)
         sa = time.perf_counter() - t0
 
         assert ans == index.access(median)
@@ -33,7 +33,7 @@ for n in (10_000, 50_000):
 
 # After the index exists, further accesses are nearly free:
 db = generate_instance(GenConfig(50_000, "large", seed=1))
-index = cq.preprocess_lex(q, db, report)
+index = cq.build_index(q, db, order, report=report)
 quartiles = [(index.count - 1) * p // 4 for p in (1, 2, 3)]
 t0 = time.perf_counter()
 answers = [index.access(k) for k in quartiles]

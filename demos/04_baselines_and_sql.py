@@ -8,7 +8,7 @@ q = bench_query()
 db = generate_instance(GenConfig(500, "large", seed=4))
 order = cq.parse_order("lex: A,B,C,D", q)
 
-index = cq.preprocess_lex(q, db, cq.analyze(q, order))
+index = cq.build_index(q, db, order)
 total = index.count
 print("answers:", total)
 
@@ -24,7 +24,7 @@ for k in (1, total // 4, total // 2, total - 1):
 order_b = cq.parse_order("lex: B", q)
 ans, log = cq.sort_before_join_access(q, db, order_b, 0)
 print(f"first answer by B: {ans.as_dict()}")
-print(f"emitted {log.emitted} of {cq.preprocess_lex(q, db, cq.analyze(q, order_b)).count} answers before stopping")
+print(f"emitted {log.emitted} of {cq.build_index(q, db, order_b).count} answers before stopping")
 
 # The same accesses in SQL, for systems that speak it.
 q2 = cq.parse_query("Q(A,B,C) :- R(A,B), S(B,C).")

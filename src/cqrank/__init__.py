@@ -27,8 +27,7 @@ from .engine import (
     AccessIndex,
     build_index,
     build_reduced_db,
-    preprocess_lex,
-    preprocess_sum,
+    preprocess_lex,  # imported for perfbench/worker.py, outside __all__
 )
 from .errors import (
     CqError,
@@ -55,8 +54,7 @@ from .model import (
 from .selection import (
     conditional_value_counts,
     select,
-    select_lex,
-    select_sum,
+    select_lex,  # imported for perfbench/worker.py, outside __all__
     weighted_select,
 )
 
@@ -95,12 +93,8 @@ __all__ = [
     "materialize_and_sort",
     "parse_order",
     "parse_query",
-    "preprocess_lex",
-    "preprocess_sum",
     "run_benchmark",
     "select",
-    "select_lex",
-    "select_sum",
     "sort_before_join_access",
     "stream_answers",
     "topk_heap_access",

@@ -221,8 +221,10 @@ def emit_sql(q: Query, o: OrderSpec, positions, dialect: str) -> str:
     appended to ORDER BY so external engines reproduce the same total order.
     """
     if dialect not in (OFFSET_LIMIT, CTE_ROW_NUMBER):
-        raise ValueError(f"unknown dialect {dialect!r}")
+        raise NotApplicable(f"unknown dialect {dialect!r}")
     positions = list(positions)
+    if not positions:
+        raise InvalidPositions("", "at least one integer")
     for k in positions:
         check_rank(k)
     if dialect == OFFSET_LIMIT and len(positions) != 1:

@@ -144,7 +144,7 @@ class _Runner:
             self.index = build_index(q, db, order)
             self.preprocess_ms = _ms(t0, time.perf_counter())
             # counted in a build of its own, so the counting sort key stays out of preprocess_ms
-            counted = build_index(q, db, order, count_comparisons=True)
+            counted = build_index(q, db, order, report=self.report, count_comparisons=True)
             self.comparisons, self.count = counted.build_stats.comparisons, self.index.count
         except NotRouted as exc:  # each `da` row records it; the other methods still run
             self.index, self.not_routed = None, exc

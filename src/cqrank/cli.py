@@ -53,9 +53,12 @@ def _load(args, need_data=True):
 
 def _parse_ks(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p != ""]
+        ks = [int(p) for p in text.split(",") if p != ""]
     except ValueError:
         raise InvalidPositions(text) from None
+    if not ks:
+        raise InvalidPositions(text)
+    return ks
 
 
 def cmd_analyze(args) -> int:

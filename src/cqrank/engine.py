@@ -41,7 +41,9 @@ still-pending subtrees: the block of answers with w_i = v has width M·g(ν,v),
 so one counting binary search per variable pins the value. A single-atom sum
 order is blocks on the same index: the sum anchor's assignments, sorted by
 ``sum_blocks``' rank key (weight sum, values), form one first level, and the
-descent completes each.
+descent completes each. ``build_index`` builds both kinds; it opens, as
+``selection.select`` does, with ``_routed``, which picks the mode by the
+order's kind and checks it.
 
 Join keys: inside the kernel (counting messages, the stage 1 key sets, the ν
 groups and child totals of stage 3) a key over exactly one variable is the
@@ -72,7 +74,7 @@ from .analysis import (
 )
 from .errors import NotRouted, OutOfRange
 from .instrument import Stats, bisect_gt, sorted_counted
-from .model import (AnswerTuple, Instance, Query, _no_gc, bound_atoms, check_rank,
+from .model import (LEX, AnswerTuple, Instance, Query, _no_gc, bound_atoms, check_rank,
                     check_weight_columns, tuple_key, value_key)
 
 
@@ -442,20 +444,32 @@ class AccessIndex:
         return AnswerTuple(self.query.head, tuple(vals[j] for j in self._head_pick))
 
 
-def _check_routed(report: TractabilityReport, mode: str) -> None:
-    verdict = report.routing[mode]
-    if not verdict.ok:
-        raise NotRouted(mode, verdict.reasons)
+def _routed(q: Query, db: Instance, order, report: TractabilityReport | None, modes):
+    """``(report, mode)`` for an engine entry: ``report`` is ``analyze(q, order)``
+    (the caller's when it holds one) and ``mode`` the one of ``modes`` (lex,
+    sum) that ``order.kind`` picks; ``NotRouted(mode, ...)`` when the report
+    was made for another order or does not route ``mode``. A sum order's
+    weight columns are checked."""
+    mode = modes[order.kind != LEX]
+    if report is None:
+        report = analyze(q, order)
+    elif report.order != order:
+        raise NotRouted(mode, ("report_for_another_order",))
+    if not report.routing[mode].ok:
+        raise NotRouted(mode, report.routing[mode].reasons)
+    if order.kind != LEX:
+        check_weight_columns(q, db, order)
+    return report, mode
 
 
 @_no_gc()
-def _preprocess(q: Query, db: Instance, report: TractabilityReport, mode: str,
-                count_comparisons: bool) -> AccessIndex:
-    """The index over the completed order; for ``DIRECT_SUM``, with the sum
-    anchor's blocks sorted by (weight sum, values) as its first level."""
-    _check_routed(report, mode)
-    if mode == DIRECT_SUM:
-        check_weight_columns(q, db, report.order)
+def build_index(q: Query, db: Instance, o, *, report: TractabilityReport | None = None,
+                count_comparisons: bool = False) -> AccessIndex:
+    """The index of a routed lex or single-atom sum order ``o`` over its
+    completed order; a sum order's anchor blocks, sorted by (weight sum,
+    values), are its first level. ``report``, when given, must be
+    ``analyze(q, o)``, which is then not run again."""
+    report, mode = _routed(q, db, o, report, (DIRECT_LEX, DIRECT_SUM))
     ct, rdb = _reduce(q, db)
     prefix, blocks, rank = sum_blocks(q, ct, report) if mode == DIRECT_SUM else ((), [], None)
     del ct  # free its count messages before the candidate tables are built
@@ -473,17 +487,5 @@ def _preprocess(q: Query, db: Instance, report: TractabilityReport, mode: str,
 
 def preprocess_lex(q: Query, db: Instance, report: TractabilityReport, *,
                    count_comparisons: bool = False) -> AccessIndex:
-    """Build the ranked-access index for a routed lexicographic order."""
-    return _preprocess(q, db, report, DIRECT_LEX, count_comparisons)
-
-
-def preprocess_sum(q: Query, db: Instance, report: TractabilityReport, *,
-                   count_comparisons: bool = False) -> AccessIndex:
-    """Build the ranked-access index for a routed single-atom sum order."""
-    return _preprocess(q, db, report, DIRECT_SUM, count_comparisons)
-
-
-def build_index(q: Query, db: Instance, o, *, count_comparisons: bool = False) -> AccessIndex:
-    """Convenience: analyze and build the index for either order kind."""
-    return _preprocess(q, db, analyze(q, o), DIRECT_LEX if o.kind == "lex" else DIRECT_SUM,
-                       count_comparisons)
+    """``build_index`` of ``report.order``; kept only for perfbench/worker.py."""
+    return build_index(q, db, report.order, report=report, count_comparisons=count_comparisons)

@@ -1,31 +1,30 @@
 """One-off selection: the k-th answer from scratch, no index, no sorting.
 
-``select_lex``, ``select_sum`` and ``select`` (either, by ``order.kind``)
-share one body. It checks the routing (and a sum order's weight columns),
-builds one ``engine.CountingTree`` over the atoms' bags (the relations'
-own rows) and fixes the tie-break order's variables one at a time: count
-the answers per candidate value of the next variable at an atom holding
-it, weighted-quickselect the residual rank into a value block, and narrow
-the tree to that value (``fix``), so each later step scans only surviving
-rows and reuses every message whose side lost none. Past the weight check,
-its one branch on the order kind: a sum order first picks one of
-``sum_blocks``' anchor blocks by the index's rank key; the tie-break order
-starts with that block's variables. ``weighted_select`` owns the rank and
-range checks: the first step's candidates sum to the answer count. A caller's
-``Stats`` goes to the tree. The tie-break order is the direct-access
-engine's, so both give identical tuples wherever both are routed.
+``select`` serves both order kinds with one body. ``engine._routed`` picks
+its mode by the order's kind and checks the routing (and a sum order's
+weight columns); the body builds one ``engine.CountingTree`` over the atoms'
+bags (the relations' own rows) and fixes the tie-break order's variables one
+at a time: count the answers per candidate value of the next variable at an
+atom holding it, weighted-quickselect the residual rank into a value block,
+and narrow the tree to that value (``fix``), so each later step scans only
+surviving rows and reuses every message whose side lost none. Its one branch
+on the order kind: a sum order first picks one of ``sum_blocks``' anchor
+blocks by the index's rank key; the tie-break order starts with that block's
+variables. ``weighted_select`` owns the rank and range checks: the first
+step's candidates sum to the answer count. A caller's ``Stats`` goes to the
+tree. The tie-break order is the direct-access engine's, so both give
+identical tuples wherever both are routed.
 """
 
 from __future__ import annotations
 
 import random
 
-from .analysis import SINGLE_LEX, SINGLE_SUM, analyze
-from .engine import CountingTree, _check_routed, atom_tree, sum_blocks
-from .errors import NotRouted, OutOfRange, UnknownVariable
+from .analysis import SINGLE_LEX, SINGLE_SUM
+from .engine import CountingTree, _routed, atom_tree, sum_blocks
+from .errors import OutOfRange, UnknownVariable
 from .instrument import Stats
-from .model import (LEX, AnswerTuple, Instance, OrderSpec, Query, bound_atoms, check_rank,
-                    check_weight_columns, value_key)
+from .model import AnswerTuple, Instance, OrderSpec, Query, bound_atoms, check_rank, value_key
 
 
 def _value_counts(ct: CountingTree, x: str) -> list[tuple]:
@@ -72,17 +71,13 @@ def weighted_select(items, k: int, rng, key=None):
             k, work = k - wlt - weq, [t for t in work if t[0] > pk]
 
 
-def _select(q: Query, db: Instance, order: OrderSpec, k: int, seed, stats: Stats | None,
-            report, mode: str) -> AnswerTuple:
-    """The selection body of both order kinds, routed as ``mode``; ``report``
-    must be the analysis of ``order``."""
-    if report is None:
-        report = analyze(q, order)
-    elif report.order != order:
-        raise NotRouted(mode, ("report_for_another_order",))
-    _check_routed(report, mode)
-    if mode == SINGLE_SUM:
-        check_weight_columns(q, db, report.order)
+def select(q: Query, db: Instance, order: OrderSpec, k: int, seed=None,
+           stats: Stats | None = None, report=None) -> AnswerTuple:
+    """k-th answer under a lex or single-atom sum order, expected O(f·n) per
+    call; any free-connex query and any lex order, disruptive trios included.
+    ``report``, when given, must be ``analyze(q, order)``, which is then not
+    run again."""
+    report, mode = _routed(q, db, order, report, (SINGLE_LEX, SINGLE_SUM))
     rng = random.Random(seed)
     ct = atom_tree(q, bound_atoms(q, db), mode, stats)
     fixed: dict = {}
@@ -97,24 +92,4 @@ def _select(q: Query, db: Instance, order: OrderSpec, k: int, seed, stats: Stats
     return AnswerTuple(q.head, tuple(fixed[v] for v in q.head))
 
 
-def select(q: Query, db: Instance, order: OrderSpec, k: int, seed=None,
-           stats: Stats | None = None, report=None) -> AnswerTuple:
-    """k-th answer under a lex or sum order: ``select_lex`` or ``select_sum``
-    by ``order.kind``."""
-    return _select(q, db, order, k, seed, stats, report, SINGLE_LEX if order.kind == LEX else SINGLE_SUM)
-
-
-def select_lex(q: Query, db: Instance, order: OrderSpec, k: int, seed=None,
-               stats: Stats | None = None, report=None) -> AnswerTuple:
-    """k-th answer under a lexicographic order, expected O(f·n) per call.
-
-    Works for any free-connex query and any lex order, disruptive trios
-    included; partial orders follow the deterministic completion.
-    """
-    return _select(q, db, order, k, seed, stats, report, SINGLE_LEX)
-
-
-def select_sum(q: Query, db: Instance, order: OrderSpec, k: int, seed=None,
-               stats: Stats | None = None, report=None) -> AnswerTuple:
-    """k-th answer under a single-atom sum order, expected O(n) per call."""
-    return _select(q, db, order, k, seed, stats, report, SINGLE_SUM)
+select_lex = select  # kept only for perfbench/worker.py

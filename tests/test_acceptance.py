@@ -23,11 +23,11 @@ from cqrank.baseline import (
     topk_heap_access,
 )
 from cqrank.bench import GenConfig, bench_query, generate_instance
-from cqrank.engine import build_index, preprocess_lex
+from cqrank.engine import build_index
 from cqrank.errors import OutOfRange
 from cqrank.instrument import Stats
 from cqrank.model import Atom, Query, parse_order, parse_query
-from cqrank.selection import select_lex, select_sum
+from cqrank.selection import select
 
 from conftest import domain_for, head_adjacency, random_instance
 
@@ -60,7 +60,7 @@ def _instances(order_pick):
         db = random_instance(q, rng, n, domain_for(n, join_size))
         o = parse_order(order_pick(lex_text, sum_text, seed), q)
         report = analyze(q, o)
-        ix = build_index(q, db, o)
+        ix = build_index(q, db, o, report=report)
         if ix.count > MAX_ANSWERS:
             continue
         oracle = materialize_and_sort(q, db, o)
@@ -89,7 +89,7 @@ def test_criterion_1_oracle_equivalence_exhaustive(lex_suite):
         for k in range(len(oracle)):
             expected = oracle[k]
             assert ix.access(k) == expected, (q.name, o, k, "direct")
-            assert select_lex(q, db, o, k, seed=k, report=report) == expected, (o, k, "select")
+            assert select(q, db, o, k, seed=k, report=report) == expected, (o, k, "select")
             heap_ans, _ = topk_heap_access(q, db, o, k)
             assert heap_ans == expected, (o, k, "heap")
             checked += 1
@@ -109,7 +109,7 @@ def test_criterion_2_sum_order_equivalence(sum_suite):
         for k in range(len(oracle)):
             expected = oracle[k]
             assert ix.access(k) == expected, (o, k, "direct_sum")
-            assert select_sum(q, db, o, k, seed=k, report=report) == expected, (o, k, "select_sum")
+            assert select(q, db, o, k, seed=k, report=report) == expected, (o, k, "select")
             checked += 1
     elapsed = time.perf_counter() - t0
     _report(
@@ -184,7 +184,7 @@ def test_criterion_5a_probe_bound():
     q = bench_query()
     db = generate_instance(GenConfig(5000, "large", seed=5))
     o = parse_order("lex: A,B,C,D", q)
-    ix = preprocess_lex(q, db, analyze(q, o))
+    ix = build_index(q, db, o)
     f = len(q.head)
     n = ix.max_group_size
     bound = f * (math.ceil(math.log2(n + 1)) + 2)
@@ -203,7 +203,7 @@ def test_criterion_5b_quasilinear_preprocessing():
     counts = {}
     for n in (10_000, 40_000):
         db = generate_instance(GenConfig(n, "large", seed=11))
-        ix = preprocess_lex(q, db, analyze(q, o), count_comparisons=True)
+        ix = build_index(q, db, o, count_comparisons=True)
         counts[n] = ix.build_stats.comparisons
     ratio = counts[40_000] / counts[10_000]
     _report(
@@ -218,7 +218,7 @@ def test_criterion_5c_selection_work(monkeypatch):
     db = generate_instance(GenConfig(2000, "large", seed=13))
     o = parse_order("lex: A,B,C,D", q)
     report = analyze(q, o)
-    count = preprocess_lex(q, db, report).count
+    count = build_index(q, db, o, report=report).count
 
     src = Path(__import__("cqrank.selection", fromlist=["x"]).__file__).read_text()
     assert "sorted(" not in src and ".sort(" not in src
@@ -231,7 +231,7 @@ def test_criterion_5c_selection_work(monkeypatch):
     worst = 0
     for k in (0, count // 3, count - 1):
         st = Stats()
-        select_lex(q, db, o, k, seed=1, stats=st, report=report)
+        select(q, db, o, k, seed=1, stats=st, report=report)
         assert st.rows_touched <= 8 * f * n_total, st.rows_touched
         worst = max(worst, st.rows_touched)
     assert calls == []
@@ -258,8 +258,8 @@ def test_criterion_7_da_vs_sa_ratio_desk_scale():
     report = analyze(q, o)
     # interpreter warm-up, discarded
     warm_db = generate_instance(GenConfig(1000, "large", seed=0))
-    preprocess_lex(q, warm_db, report).access(0)
-    select_lex(q, warm_db, o, 0, seed=0, report=report)
+    build_index(q, warm_db, o, report=report).access(0)
+    select(q, warm_db, o, 0, seed=0, report=report)
 
     t_total0 = time.perf_counter()
     ratios, samples = {}, []
@@ -268,12 +268,12 @@ def test_criterion_7_da_vs_sa_ratio_desk_scale():
         da, sa = [], []
         for _ in range(3):  # medians of 3 samples: one sample can swing by a third
             t0 = time.perf_counter()
-            ix = preprocess_lex(q, db, report)
+            ix = build_index(q, db, o, report=report)
             k = (ix.count - 1) // 2
             ix.access(k)
             da.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            ans = select_lex(q, db, o, k, seed=0, report=report)
+            ans = select(q, db, o, k, seed=0, report=report)
             sa.append(time.perf_counter() - t0)
             assert ans == ix.access(k)  # same tuple even when too big to verify fully
         ratios[js] = statistics.median(da) / statistics.median(sa)
@@ -293,7 +293,7 @@ def test_criterion_8_baseline_behavior():
     q = bench_query()
     o = parse_order("lex: A,B,C,D", q)
     small = generate_instance(GenConfig(12, "small", seed=3))
-    count = preprocess_lex(q, small, analyze(q, o)).count
+    count = build_index(q, small, o).count
     assert count > 2
     for k in range(count):
         _, log = topk_heap_access(q, small, o, k)
@@ -301,7 +301,7 @@ def test_criterion_8_baseline_behavior():
 
     large = generate_instance(GenConfig(1000, "large", seed=9))
     ob = parse_order("lex: B", q)
-    total = preprocess_lex(q, large, analyze(q, o)).count
+    total = build_index(q, large, o).count
     _, slog = sort_before_join_access(q, large, ob, 0)
     assert slog.emitted <= slog.block_size
     assert slog.emitted * 10 < total

@@ -7,13 +7,15 @@ import pytest
 from cqrank.analysis import DIRECT_LEX, DIRECT_SUM, SINGLE_LEX, SINGLE_SUM, analyze
 from cqrank.baseline import (
     _path_start,
+    emit_sql,
     materialize_and_sort,
     sort_before_join_access,
     stream_answers,
     topk_heap_access,
 )
 from cqrank.engine import build_index, count_answers
-from cqrank.errors import NotApplicable, NotRouted, OutOfRange, ResultTooLarge
+from cqrank.errors import CqError, InvalidPositions, NotApplicable, NotRouted, OutOfRange, ResultTooLarge
+from cqrank.instrument import Stats
 from cqrank.model import Atom, Instance, OrderSpec, Query, Relation, parse_order, parse_query
 from cqrank.selection import select
 
@@ -24,6 +26,18 @@ def test_materialize_two_path(q2path, db1):
     o = parse_order("lex: A,B,C", q2path)
     got = [a.values for a in materialize_and_sort(q2path, db1, o)]
     assert got == [(1, 1, 10), (1, 2, 20), (1, 2, 30), (2, 1, 10)]
+
+
+def test_emit_sql_refuses_an_unknown_dialect_and_an_empty_position_list(q2path):
+    """Both are ``CqError``s: ``NotApplicable`` names the dialect, and an
+    empty position list would emit ``IN ()``, which few SQL engines parse."""
+    o = parse_order("lex: A", q2path)
+    with pytest.raises(NotApplicable, match="unknown dialect 'mysql'") as info:
+        emit_sql(q2path, o, [1], "mysql")
+    assert isinstance(info.value, CqError)
+    for dialect in ("offset", "cte"):
+        with pytest.raises(InvalidPositions):
+            emit_sql(q2path, o, [], dialect)
 
 
 def test_materialize_cyclic_triangle(qtriangle):
@@ -203,6 +217,17 @@ def _closed_cycle(rng, q, orders, db):
             Instance({**db.relations, "Z": Relation("Z", ("c0", "c1"), rows)}))
 
 
+def _probe_bound(index, answer):
+    """Binary search over n sorted entries probes at most ⌈log2(n + 1)⌉ =
+    ``n.bit_length()`` times: once over a sum order's blocks, then once in
+    each group that the answer's own values select."""
+    vals = answer.as_dict()
+    width = len(index.anchor_vals[0]) if index.cums else 0
+    groups = (index.groups[i][tuple(vals[v] for v in index.vtree.nsets[i])]
+              for i in range(width, len(index.order)))
+    return len(index.cums).bit_length() + sum(len(g.cums).bit_length() for g in groups)
+
+
 def test_every_answer_channel_matches_the_oracle_on_random_draws():
     """On random acyclic draws and on each draw with a cycle closed: direct
     access and selection equal ``materialize_and_sort`` at every k where
@@ -226,7 +251,10 @@ def test_every_answer_channel_matches_the_oracle_on_random_draws():
                 lex = o.kind == "lex"
                 if report.routing[DIRECT_LEX if lex else DIRECT_SUM].ok:
                     index = build_index(q, db, o)
-                    assert [index.access(k) for k in range(len(want))] == want, (q, o, db)
+                    for k in range(len(want)):
+                        stats = Stats()
+                        assert index.access(k, stats) == want[k], (q, o, db, k)
+                        assert stats.probes <= _probe_bound(index, want[k]), (q, o, db, k)
                     assert index.count == len(want)
                     seen["direct"] += 1
                 else:

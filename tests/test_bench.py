@@ -194,11 +194,11 @@ def test_bench_query_shape():
 
 
 @pytest.mark.parametrize("order,unrouted", [
-    ("sum: A,B", set()),                     # preprocess_sum and select_sum
+    ("sum: A,B", set()),                     # both entries build and select a sum order
     ("lex: A,C,B,D", {"da", "da_over_sa"}),  # a disruptive trio: selection and the baselines
 ])
 def test_bench_runs_orders_direct_lex_cannot_build(order, unrouted):
-    """An order ``preprocess_lex`` rejects still runs every method; a method
+    """An order ``build_index`` rejects still runs every method; a method
     whose engine is not routed records ``NotRouted`` in its row, and the
     answer count comes from selection's counting when no index is built."""
     from cqrank.baseline import stream_answers

@@ -293,19 +293,33 @@ def test_cli_select_stats(workspace, capsys):
     assert isinstance(stats["select_ms"], float) and stats["select_ms"] > 0
 
 
-@pytest.mark.parametrize("command", ["access", "select", "baseline", "emit-sql"])
-@pytest.mark.parametrize("ks", ["x", "1.5", "1,x"])
-def test_cli_bad_positions_are_cq_errors(workspace, capsys, command, ks):
-    argv = [command, "--query", str(workspace / "q.cq"), "--order", "lex: A,B,C", "--k", ks]
-    argv += {
+def _positions_argv(workspace, command, ks):
+    argv = [command, "--query", str(workspace / "q.cq"), "--order", "lex: A,B,C", f"--k={ks}"]
+    return argv + {
         "access": ["--data", str(workspace / "data")],
         "select": ["--data", str(workspace / "data")],
         "baseline": ["--data", str(workspace / "data"), "--strategy", "full-sort"],
         "emit-sql": ["--dialect", "cte"],
     }[command]
-    assert main(argv) == 1
+
+
+@pytest.mark.parametrize("command", ["access", "select", "baseline", "emit-sql"])
+@pytest.mark.parametrize("ks", ["x", "1.5", "1,x"])
+def test_cli_bad_positions_are_cq_errors(workspace, capsys, command, ks):
+    assert main(_positions_argv(workspace, command, ks)) == 1
     (line,) = _lines(capsys)
     assert line["error"] == "invalid_positions"
+
+
+@pytest.mark.parametrize("command", ["access", "select", "baseline", "emit-sql"])
+def test_cli_an_empty_position_list_is_refused(workspace, capsys, command):
+    """``--k`` must name a position: an empty list printed nothing, or SQL
+    with ``IN ()``, and exited 0. Empty items between commas are skipped."""
+    for ks in ("", ","):
+        assert main(_positions_argv(workspace, command, ks)) == 1
+        (line,) = _lines(capsys)
+        assert line["error"] == "invalid_positions"
+    assert cli._parse_ks("1,,2") == [1, 2]
 
 
 def test_cli_undecodable_files_are_io_errors(workspace, capsys):

@@ -11,11 +11,11 @@ import pytest
 
 from cqrank.analysis import analyze
 from cqrank.bench import GenConfig, bench_query, generate_instance
-from cqrank.engine import preprocess_lex, preprocess_sum
+from cqrank.engine import build_index
 from cqrank.errors import OutOfRange
 from cqrank.instrument import Stats
 from cqrank.model import parse_order
-from cqrank.selection import select_lex, select_sum
+from cqrank.selection import select
 
 COUNT = 301_066
 
@@ -41,8 +41,7 @@ def test_counters_repeat_exactly(bench_db, text, comparisons_to_3_12, probes, ro
     q = bench_query()
     o = parse_order(text, q)
     report = analyze(q, o)
-    preprocess, select = (preprocess_lex, select_lex) if o.kind == "lex" else (preprocess_sum, select_sum)
-    ix = preprocess(q, bench_db, report, count_comparisons=True)
+    ix = build_index(q, bench_db, o, report=report, count_comparisons=True)
     assert ix.count == COUNT
     ks = [0, COUNT // 3, COUNT // 2, COUNT - 1]
     access_stats, select_stats = Stats(), Stats()
@@ -58,7 +57,7 @@ def test_trio_selection_rows_touched_repeat_exactly(bench_db):
     o = parse_order("lex: A,C,B,D", q)  # a disruptive trio: selection only
     stats = Stats()
     for k in (0, 1000, 5000):
-        select_lex(q, bench_db, o, k, seed=k, stats=stats)
+        select(q, bench_db, o, k, seed=k, stats=stats)
     assert stats.rows_touched == 63_282
 
 
@@ -68,8 +67,7 @@ def test_out_of_range_names_k_and_the_answer_count(bench_db, text, k):
     q = bench_query()
     o = parse_order(text, q)
     report = analyze(q, o)
-    preprocess, select = (preprocess_lex, select_lex) if o.kind == "lex" else (preprocess_sum, select_sum)
-    ix = preprocess(q, bench_db, report)
+    ix = build_index(q, bench_db, o, report=report)
     for call in (lambda: select(q, bench_db, o, k, seed=0, report=report), lambda: ix.access(k)):
         with pytest.raises(OutOfRange) as info:
             call()

@@ -9,7 +9,7 @@ import pytest
 from cqrank import baseline, engine, model
 from cqrank.analysis import analyze
 from cqrank.baseline import materialize_and_sort
-from cqrank.engine import preprocess_lex, preprocess_sum
+from cqrank.engine import build_index
 from cqrank.errors import EmptyHeader, NotRouted, RaggedRow, ResultTooLarge
 from cqrank.model import load_instance, parse_order, parse_query
 
@@ -50,13 +50,11 @@ def _calls(tmp_path):
             (lambda: load_instance(ragged, q), RaggedRow),
             (lambda: load_instance(blank, q), EmptyHeader),
         ]),
-        "preprocess_lex": (lambda: preprocess_lex(q, db, analyze(q, lex)),
-                           (engine, "_build_tables"), [
-            (lambda: preprocess_lex(q, db, analyze(q, trio)), NotRouted),
-        ]),
-        "preprocess_sum": (lambda: preprocess_sum(q, db, analyze(q, total)),
-                           (engine, "_build_tables"), [
-            (lambda: preprocess_sum(q, db, analyze(q, spread)), NotRouted),
+        "build_index": (lambda: (build_index(q, db, lex), build_index(q, db, total)),
+                        (engine, "_build_tables"), [
+            (lambda: build_index(q, db, trio), NotRouted),
+            (lambda: build_index(q, db, spread), NotRouted),
+            (lambda: build_index(q, db, total, report=analyze(q, lex)), NotRouted),
         ]),
         "materialize_and_sort": (lambda: materialize_and_sort(q, db, lex),
                                  (baseline, "stream_answers"), [
@@ -65,7 +63,7 @@ def _calls(tmp_path):
     }
 
 
-ENTRY_POINTS = ["load_instance", "preprocess_lex", "preprocess_sum", "materialize_and_sort"]
+ENTRY_POINTS = ["load_instance", "build_index", "materialize_and_sort"]
 
 
 @pytest.mark.parametrize("on", [True, False])

@@ -389,20 +389,18 @@ def _string_weights():
 
 
 @pytest.mark.parametrize("entry", [
-    "preprocess_sum", "build_index", "select_sum", "materialize_and_sort", "topk_heap_access",
+    "build_index", "select", "materialize_and_sort", "topk_heap_access",
 ])
 def test_sum_entry_points_reject_a_string_weight_column(entry):
     """Without ``validate_instance`` first, a str weight must still come out
     as a ``CqError``, not as the ``TypeError`` of adding an int to a str."""
-    from cqrank import analyze, build_index, materialize_and_sort, preprocess_sum, select_sum
-    from cqrank import topk_heap_access
+    from cqrank import build_index, materialize_and_sort, select, topk_heap_access
 
     q, db = _string_weights()
     o = parse_order("sum: A,B", q)
     call = {
-        "preprocess_sum": lambda: preprocess_sum(q, db, analyze(q, o)),
         "build_index": lambda: build_index(q, db, o),
-        "select_sum": lambda: select_sum(q, db, o, 0, seed=1),
+        "select": lambda: select(q, db, o, 0, seed=1),
         "materialize_and_sort": lambda: materialize_and_sort(q, db, o),
         "topk_heap_access": lambda: topk_heap_access(q, db, o, 0),
     }[entry]
@@ -417,14 +415,14 @@ def test_lex_orders_skip_the_weight_check(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a lex order checked weight columns")
 
-    for module in (engine, selection, baseline):
+    for module in (engine, baseline):  # selection checks through engine._routed
         monkeypatch.setattr(module, "check_weight_columns", forbidden)
     q, db = _string_weights()
     o = parse_order("lex: B,A", q)
     want = [(1, "x"), (2, "y")]
     assert [a.values for a in baseline.materialize_and_sort(q, db, o)] == want
     assert [engine.build_index(q, db, o).access(k).values for k in range(2)] == want
-    assert [selection.select_lex(q, db, o, k).values for k in range(2)] == want
+    assert [selection.select(q, db, o, k).values for k in range(2)] == want
     assert baseline.topk_heap_access(q, db, o, 0)[0].values == want[0]
 
 

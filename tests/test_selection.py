@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 
 from cqrank.analysis import DIRECT_LEX, DIRECT_SUM, SINGLE_LEX, SINGLE_SUM, analyze
 from cqrank.baseline import materialize_and_sort
-from cqrank.engine import build_index, preprocess_lex, preprocess_sum
+from cqrank.engine import build_index
 from cqrank.errors import NotRouted, OutOfRange, UnknownVariable
 from cqrank.instrument import Stats
 from cqrank.model import Instance, Relation, parse_order, parse_query, value_key
 from cqrank.selection import (
     conditional_value_counts,
     select,
-    select_lex,
-    select_sum,
     weighted_select,
 )
 
@@ -38,20 +36,16 @@ def test_conditional_value_counts_rejects_unknown_variables(q2path, db1):
 
 
 def test_each_engine_refuses_the_other_order_kind(q2path, db1):
-    """A mode serves only its own order kind (``order_kind_mismatch``);
-    ``select`` picks the mode by the order's kind."""
+    """A mode serves only its own order kind: the report's verdict for the
+    other kind's modes is ``order_kind_mismatch``. No entry raises it, since
+    ``build_index`` and ``select`` pick the mode by the order's kind."""
     lex, sum_ = parse_order("lex: A,B,C", q2path), parse_order("sum: B,C", q2path)
-    lex_report, sum_report = analyze(q2path, lex), analyze(q2path, sum_)
-    for call in (lambda: select_lex(q2path, db1, sum_, 0),
-                 lambda: select_sum(q2path, db1, lex, 0),
-                 lambda: preprocess_lex(q2path, db1, sum_report),
-                 lambda: preprocess_sum(q2path, db1, lex_report)):
-        with pytest.raises(NotRouted) as info:
-            call()
-        assert info.value.reasons == ("order_kind_mismatch",)
-    for o, own in ((lex, select_lex), (sum_, select_sum)):
-        assert [select(q2path, db1, o, k, seed=k) for k in range(4)] == \
-            [own(q2path, db1, o, k, seed=k) for k in range(4)]
+    for o, other in ((lex, (DIRECT_SUM, SINGLE_SUM)), (sum_, (DIRECT_LEX, SINGLE_LEX))):
+        report = analyze(q2path, o)
+        assert all(report.routing[m].reasons == ("order_kind_mismatch",) for m in other)
+        ix = build_index(q2path, db1, o, report=report)
+        assert [select(q2path, db1, o, k, seed=k, report=report) for k in range(4)] == \
+            [ix.access(k) for k in range(4)]
 
 
 def test_select_refuses_a_report_for_another_order(q2path, db1):
@@ -162,34 +156,34 @@ def test_weighted_select_property(data):
 
 def test_select_lex_examples(q2path, db1):
     o = parse_order("lex: A,B,C", q2path)
-    assert select_lex(q2path, db1, o, 2, seed=1).as_dict() == {"A": 1, "B": 2, "C": 30}
+    assert select(q2path, db1, o, 2, seed=1).as_dict() == {"A": 1, "B": 2, "C": 30}
     oc = parse_order("lex: A,C,B", q2path)
-    assert select_lex(q2path, db1, oc, 1, seed=1).as_dict() == {"A": 1, "B": 2, "C": 20}
+    assert select(q2path, db1, oc, 1, seed=1).as_dict() == {"A": 1, "B": 2, "C": 20}
     with pytest.raises(OutOfRange):
-        select_lex(q2path, db1, o, 4, seed=1)
+        select(q2path, db1, o, 4, seed=1)
 
 
 def test_select_lex_not_routed(qproj, db1):
     with pytest.raises(NotRouted):
-        select_lex(qproj, db1, parse_order("lex: A,C", qproj), 0)
+        select(qproj, db1, parse_order("lex: A,C", qproj), 0)
 
 
 def test_select_sum_examples(q2path):
     q = parse_query("Q(A,B) :- R(A,B).")
     db = Instance({"R": Relation("R", ("A", "B"), ((1, 5), (2, 2), (3, 1)))})
     o = parse_order("sum: A,B", q)
-    assert select_sum(q, db, o, 1, seed=2).values == (3, 1)
+    assert select(q, db, o, 1, seed=2).values == (3, 1)
     with pytest.raises(OutOfRange):
-        select_sum(q, db, o, 3, seed=2)
+        select(q, db, o, 3, seed=2)
 
     db2 = Instance({
         "R": Relation("R", ("A", "B"), ((1, 1), (2, 2))),
         "S": Relation("S", ("B", "C"), ((1, 10), (2, 5))),
     })
     o2 = parse_order("sum: B,C", q2path)
-    assert select_sum(q2path, db2, o2, 0, seed=0).as_dict() == {"A": 2, "B": 2, "C": 5}
+    assert select(q2path, db2, o2, 0, seed=0).as_dict() == {"A": 2, "B": 2, "C": 5}
     with pytest.raises(NotRouted):
-        select_sum(q2path, db2, parse_order("sum: A,C", q2path), 0)
+        select(q2path, db2, parse_order("sum: A,C", q2path), 0)
 
 
 def test_select_agrees_with_direct_access(q3path):
@@ -211,14 +205,14 @@ def test_select_lex_trio_orders_match_oracle(q2path):
         db = random_instance(q2path, rng, rng.randint(1, 10), rng.randint(1, 3))
         oracle = materialize_and_sort(q2path, db, o)
         for k in range(len(oracle)):
-            assert select_lex(q2path, db, o, k, seed=k) == oracle[k]
+            assert select(q2path, db, o, k, seed=k) == oracle[k]
 
 
 def test_select_seed_independent_results(q2path, db1):
     o = parse_order("lex: A,B,C", q2path)
-    fixed = [select_lex(q2path, db1, o, k, seed=0) for k in range(4)]
+    fixed = [select(q2path, db1, o, k, seed=0) for k in range(4)]
     for seed in (1, 7, 12345, None):
-        assert [select_lex(q2path, db1, o, k, seed=seed) for k in range(4)] == fixed
+        assert [select(q2path, db1, o, k, seed=seed) for k in range(4)] == fixed
 
 
 def test_selection_never_sorts(q2path, db1, monkeypatch):
@@ -233,8 +227,8 @@ def test_selection_never_sorts(q2path, db1, monkeypatch):
     sreport = analyze(q2path, parse_order("sum: B,C", q2path))
     monkeypatch.setattr(builtins, "sorted", spy)
     for k in range(4):
-        select_lex(q2path, db1, parse_order("lex: A,B,C", q2path), k, seed=k, report=report)
-    select_sum(q2path, db1, parse_order("sum: B,C", q2path), 0, seed=0, report=sreport)
+        select(q2path, db1, parse_order("lex: A,B,C", q2path), k, seed=k, report=report)
+    select(q2path, db1, parse_order("sum: B,C", q2path), 0, seed=0, report=sreport)
     assert calls == []
 
 
@@ -251,12 +245,12 @@ def test_select_work_bound(q3path):
     db = random_instance(q3path, rng, 200, 20)
     o = parse_order("lex: A,B,C,D", q3path)
     report = analyze(q3path, o)
-    ix = preprocess_lex(q3path, db, report)
+    ix = build_index(q3path, db, o, report=report)
     n_total = sum(len(r.rows) for r in db.relations.values())
     f = len(q3path.head)
     for k in (0, ix.count // 2, ix.count - 1):
         stats = Stats()
-        select_lex(q3path, db, o, k, seed=0, stats=stats, report=report)
+        select(q3path, db, o, k, seed=0, stats=stats, report=report)
         assert stats.rows_touched <= 8 * f * n_total
 
 

@@ -1,10 +1,13 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 import cqrank
+
+from conftest import ROOT
 
 
 def test_package_has_no_assert_statements():
@@ -90,3 +93,17 @@ def test_package_parses_as_python_3_10():
     with pytest.raises(SyntaxError):
         ast.parse(newer, feature_version=(3, 10))
     assert len(modules) > 5
+
+
+def test_ci_installs_the_pins_of_the_test_extra():
+    """CI installs exactly the pinned versions that ``pyproject.toml``'s
+    ``test`` extra names: the derandomized Hypothesis profile draws its
+    examples by library version. Both files are read as text, since
+    ``tomllib`` needs Python 3.11 and CI also runs 3.10."""
+    extra = re.search(r"^test = \[(.*)\]", (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    (install,) = re.findall(r"^\s*- run: pip install (.*)$", workflow, re.M)
+    pins = re.findall(r'"([^"]+)"', extra.group(1))
+    assert sorted(install.split()) == sorted(pins)
+    assert sorted(p.split("==")[0] for p in pins if re.fullmatch(r"\w+==[\w.]+", p)) == \
+        ["hypothesis", "pytest"]  # each pinned to one version
