@@ -44,7 +44,7 @@ class JoinTree:
     root: int
 
     @cached_property
-    def _adjacent(self) -> list[list[int]]:
+    def adjacent(self) -> list[list[int]]:
         """Each node's tree neighbours, ascending."""
         adj: list[list[int]] = [[] for _ in self.parent]
         for v, p in enumerate(self.parent):
@@ -56,7 +56,7 @@ class JoinTree:
     def walk(self, root: int) -> tuple[list[int | None], list[list[int]], list[int]]:
         """One DFS from ``root``: each node's parent (``None`` at ``root``),
         its children in node order, and a postorder that ends with ``root``."""
-        n, adj = len(self.parent), self._adjacent
+        n, adj = len(self.parent), self.adjacent
         parent: list[int | None] = [None] * n
         children: list[list[int]] = [[] for _ in range(n)]
         order, stack = [], [root]

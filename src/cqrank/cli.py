@@ -76,11 +76,12 @@ def _timed_load(args):
 
 def cmd_access(args) -> int:
     q, o, db, load_ms = _timed_load(args)
+    ks = _parse_ks(args.k)  # before the build: a refused --k costs no index
     t0 = time.perf_counter()
     index = build_index(q, db, o)
     pre_ms = (time.perf_counter() - t0) * 1000.0
     stats = Stats() if args.stats else None
-    for k in _parse_ks(args.k):
+    for k in ks:
         try:
             ans = index.access(k, stats)
             _emit({"k": k, "answer": ans.as_dict()})

@@ -4,13 +4,13 @@ The index simulates the sorted array of answers without materializing it.
 Every count below, and every count that selection takes, comes from one
 counting kernel: ``CountingTree`` holds each atom's rows as a bag (the
 relation's own tuple, every row weighing 1, so counts live only in the
-messages) and walks a join tree bottom-up with one weighted-projection loop
-(child messages multiplied per row, summed per projected value), then
-``counts`` combines the messages at the chosen root. ``fix`` narrows the
-tree's bags to one value of a variable; each directed message is kept and
-reused until a ``fix`` drops rows on its side, so selection makes one tree
-per call, and a message from a narrowed side first prunes the bag it feeds
-to the rows it can extend. Construction happens in three steps:
+messages) and computes each directed message on demand, from the messages
+into its node, with one weighted-projection loop (those messages multiplied
+per row, summed per projected value); ``counts`` combines the messages into
+the chosen root. ``fix`` narrows the bags holding a variable to one value
+and drops only the messages that lead away from them, so selection makes
+one tree per call, and a message whose side lost rows first prunes the bag
+it feeds to the rows it can extend. Construction happens in three steps:
 
 1. *Full reduction* — semi-join passes over the directed edges of a join tree
    of the atoms (up, then down), so every surviving row takes part in at
@@ -92,8 +92,8 @@ class ReducedAtom:
 
     @cached_property
     def rows(self) -> dict[tuple, int]:
-        tree, u = self.leaf
-        return _tupled(tree._combine(u, self.vars, (), {}, {}), len(self.vars))
+        tree, u = self.leaf  # the head node follows the atoms
+        return _tupled(tree._combine(u, self.vars, len(tree.tables)), len(self.vars))
 
 
 @dataclass(frozen=True)
@@ -133,29 +133,31 @@ class CountingTree:
 
     ``tables[u]`` is the bag of rows over ``vars_list[u]``, each row weighing
     1; it is never mutated, only replaced. A node without a table may only
-    serve as the root of ``messages``.
+    be the target of ``message``.
     Separators are keyed in one canonical variable order — the head first,
     then the other variables by first occurrence — so a message toward the
-    head comes out in head order. ``fix`` narrows the tables in place and
-    remembers the nodes it dropped rows from (``narrowed``); each directed
-    message is kept with the nodes on its side and reused until a ``fix``
-    drops rows from one of them. A message from a side that holds a narrowed
-    node prunes the bag it feeds before the product stream (``_combine``);
-    other sides keep the single pass. Every pass and ``fix`` adds the rows
-    it scans to the tree's ``stats``, when it has one.
+    head comes out in head order. Each directed message is computed on
+    demand and cached with one flag: does its side hold a node that a ``fix``
+    dropped rows from (``narrowed``)? A cached message's inputs are cached
+    too. ``fix`` drops the messages that lead away from a node it narrows; a
+    flagged message prunes the bag it feeds (``_combine``). Every pass and
+    ``fix`` adds the rows it scans to the tree's ``stats``, when it has one.
     """
 
     def __init__(self, vars_list, head, tables, mode: str, stats: Stats | None = None,
                  reason: str = "not_acyclic"):
-        tree = gyo_join_tree(vars_list)
-        if not isinstance(tree, JoinTree):
+        self.tree = gyo_join_tree(vars_list)
+        if not isinstance(self.tree, JoinTree):
             raise NotRouted(mode, (reason,))
-        self.tree = tree
         self.vars = tuple(vars_list)
         self.tables, self.stats = tables, stats
         self.narrowed: set[int] = set()  # nodes some ``fix`` dropped rows from
         self._canon = tuple(dict.fromkeys(chain(head, *vars_list)))
-        self._cache: dict[tuple[int, int], tuple[frozenset, dict]] = {}
+        self._cache: dict[tuple[int, int], tuple[bool, dict]] = {}
+        self._holding: dict[str, list[int]] = defaultdict(list)  # variable -> nodes holding it
+        for u, vs in enumerate(self.vars):
+            for v in dict.fromkeys(vs):
+                self._holding[v].append(u)
 
     def separator(self, u: int, w: int) -> tuple[str, ...]:
         shared = self.tree.node_vars[u] & self.tree.node_vars[w]
@@ -166,40 +168,44 @@ class CountingTree:
 
     def fix(self, var: str, value) -> None:
         """Keep only the rows with ``var == value`` in every table holding
-        ``var`` (row order kept), and forget the messages they fed."""
-        narrowed = set()
-        for u, table in enumerate(self.tables):
-            if var in self.vars[u]:
-                if self.stats is not None:
-                    self.stats.rows_touched += len(table)
-                pos = self.vars[u].index(var)
-                self.tables[u] = [r for r in table if r[pos] == value]
-                if len(self.tables[u]) < len(table):
-                    narrowed.add(u)
-        self.narrowed |= narrowed
-        self._cache = {e: hit for e, hit in self._cache.items() if narrowed.isdisjoint(hit[0])}
+        ``var`` (row order kept), and drop the messages leading away from a
+        table that lost rows, up to the first one not cached."""
+        adj = self.tree.adjacent
+        for u in self._holding.get(var, ()):
+            table = self.tables[u]
+            if self.stats is not None:
+                self.stats.rows_touched += len(table)
+            pos = self.vars[u].index(var)
+            self.tables[u] = [r for r in table if r[pos] == value]
+            if len(self.tables[u]) < len(table):
+                self.narrowed.add(u)
+                stack = [(u, w) for w in adj[u]]
+                while stack:
+                    x, y = stack.pop()
+                    if self._cache.pop((x, y), None) is not None:
+                        stack.extend((y, z) for z in adj[y] if z != x)
 
-    def _combine(self, u, out_vars, children, msg, side):
+    def _combine(self, u, out_vars, toward):
         """The weighted projection: Σ over the bag's rows of the product of
-        the child messages, per value of ``out_vars``, keyed by ``_key``.
-        Rows that some child cannot extend drop out. A child whose side
-        (``side[c]``, its subtree's nodes) holds a narrowed node first prunes
-        the bag to the rows whose separator key its message holds, in one
-        C-level pass; the pruned rows weigh 0, so the result is the same and
-        the product stream runs over the survivors only. A bag's rows count
-        as touched once, pruned or not."""
+        the messages into ``u`` from every neighbour but ``toward``, per
+        value of ``out_vars``, keyed by ``_key``. Rows that some message
+        cannot extend drop out. A flagged message first prunes the bag to the
+        rows whose separator key it holds, in one C-level pass; the pruned
+        rows weigh 0, so the result is the same and the product stream runs
+        over the survivors only. A bag's rows count as touched once."""
         table = self.tables[u]
         if self.stats is not None:
             self.stats.rows_touched += len(table)
-        if not children:  # one C-level count; a leaf over its own vars in order keys by row
+        ins = [(self.key(u, self.separator(u, c)), *self._cache[c, u])
+               for c in self.tree.adjacent[u] if c != toward]
+        if not ins:  # one C-level count; a leaf over its own vars in order keys by row
             own = out_vars == self.vars[u] and len(out_vars) != 1
             return Counter(table if own else map(self.key(u, out_vars), table))
-        for c in children:
-            if not self.narrowed.isdisjoint(side[c]):
-                keys = map(self.key(u, self.separator(u, c)), table)
-                table = list(compress(table, map(msg[c].__contains__, keys)))
-        streams = (map(msg[c].get, map(self.key(u, self.separator(u, c)), table), repeat(0))
-                   for c in children)  # one lazy product stream: no per-row Python frame
+        for key, flag, m in ins:
+            if flag:
+                table = list(compress(table, map(m.__contains__, map(key, table))))
+        streams = (map(m.get, map(key, table), repeat(0))
+                   for key, _, m in ins)  # one lazy product stream: no per-row Python frame
         weights = reduce(partial(map, mul), streams)
         out: dict = {}
         get = out.get
@@ -208,30 +214,28 @@ class CountingTree:
                 out[k] = get(k, 0) + w
         return out
 
-    def messages(self, root: int):
-        """Counting messages toward ``root``: for every other node u, the
-        weighted number of ways u's subtree extends each value of u's
-        separator with its parent, in the postorder of one
-        ``JoinTree.walk(root)``. Also returns the rooted children lists and
-        each node's side (the nodes of its subtree)."""
-        parent, children, postorder = self.tree.walk(root)
-        msg: dict[int, dict] = {}
-        side: dict[int, frozenset] = {}
-        for u in postorder[:-1]:  # the root comes last
-            edge = (u, parent[u])
-            hit = self._cache.get(edge)
-            if hit is None:
-                nodes = frozenset([u]).union(*(side[c] for c in children[u]))
-                m = self._combine(u, self.separator(*edge), children[u], msg, side)
-                hit = self._cache[edge] = (nodes, m)
-            side[u], msg[u] = hit
-        return msg, children, side
+    def message(self, u: int, w: int) -> dict:
+        """The counting message from ``u`` to its neighbour ``w``: the weighted
+        number of ways u's side extends each value of their separator. The
+        uncached messages it needs are collected with one stack and computed
+        in reverse preorder, so each comes after its inputs."""
+        adj, todo, stack = self.tree.adjacent, [], [(u, w)]
+        while stack:
+            edge = stack.pop()
+            if edge not in self._cache:
+                todo.append(edge)
+                stack.extend((c, edge[0]) for c in adj[edge[0]] if c != edge[1])
+        for x, y in reversed(todo):
+            flag = x in self.narrowed or any(self._cache[c, x][0] for c in adj[x] if c != y)
+            self._cache[x, y] = (flag, self._combine(x, self.separator(x, y), y))
+        return self._cache[u, w][1]
 
     def counts(self, root: int, out_vars) -> dict:
         """Answer count per value of ``out_vars`` (variables of node
         ``root``), keyed by ``_key``."""
-        msg, children, side = self.messages(root)
-        return self._combine(root, out_vars, children[root], msg, side)
+        for c in self.tree.adjacent[root]:
+            self.message(c, root)
+        return self._combine(root, out_vars, None)
 
 
 def atom_tree(q: Query, bound, mode: str, stats: Stats | None = None) -> CountingTree:
@@ -274,19 +278,18 @@ def _reduce(q: Query, db: Instance) -> tuple[CountingTree, ReducedDB]:
             keysets = {e: ks for e, ks in keysets.items() if e[0] != dst}
         keysets[dst, sep] = kept
 
-    # stage 2: counting messages toward a virtual head node F; when every
-    # atom next to F is a leaf, none is counted here but on its first read
+    # stage 2: counting messages toward a virtual head node F; an atom next
+    # to F with no other neighbour is not counted here but on its first read
     F = len(tables)
     ht = CountingTree(vars_list + [q.head], q.head, tables, DIRECT_LEX, reason="not_free_connex")
-    children = ht.tree.walk(F)[1]
-    msg = ht.messages(F)[0] if any(children[u] for u in children[F]) else {}
+    adj = ht.tree.adjacent
     reduced = []
     for u in range(F):
         hv = ht.separator(u, F)
-        if u not in children[F]:
+        if F not in adj[u]:
             reduced.append(ReducedAtom(hv, dict.fromkeys(map(_proj(vars_list[u], hv), tables[u]), 1)))
         else:
-            reduced.append(ReducedAtom(hv, _tupled(msg[u], len(hv))) if u in msg
+            reduced.append(ReducedAtom(hv, _tupled(ht.message(u, F), len(hv))) if len(adj[u]) > 1
                            else ReducedAtom(hv, leaf=(ht, u)))
     return ct, ReducedDB(tuple(reduced))
 

@@ -7,7 +7,7 @@ bags (the relations' own rows) and fixes the tie-break order's variables one
 at a time: count the answers per candidate value of the next variable at an
 atom holding it, weighted-quickselect the residual rank into a value block,
 and narrow the tree to that value (``fix``), so each later step scans only
-surviving rows and reuses every message whose side lost none. Its one branch
+surviving rows and recounts only the messages it reached. Its one branch
 on the order kind: a sum order first picks one of ``sum_blocks``' anchor
 blocks by the index's rank key; the tie-break order starts with that block's
 variables. ``weighted_select`` owns the rank and range checks: the first

@@ -322,6 +322,19 @@ def test_cli_an_empty_position_list_is_refused(workspace, capsys, command):
     assert cli._parse_ks("1,,2") == [1, 2]
 
 
+@pytest.mark.parametrize("ks", ["", "x"])
+def test_cli_access_refuses_positions_before_the_build(workspace, capsys, monkeypatch, ks):
+    """A ``--k`` that ``access`` refuses costs no index build, and prints the
+    error line that ``select`` prints for it."""
+    built = []
+    monkeypatch.setattr(cli, "build_index", lambda *a, **kw: built.append(a))
+    assert main(_positions_argv(workspace, "access", ks)) == 1
+    (line,) = _lines(capsys)
+    assert built == [] and line["error"] == "invalid_positions"
+    assert main(_positions_argv(workspace, "select", ks)) == 1
+    assert _lines(capsys) == [line]
+
+
 def test_cli_undecodable_files_are_io_errors(workspace, capsys):
     bad = workspace / "bad.cq"
     bad.write_bytes(b"Q(A) :- R(A\xff).\n")

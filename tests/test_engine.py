@@ -93,12 +93,12 @@ def test_reduced_db_invariants_random(q2path):
                 ), (atom.vars, row)
 
 
-def _general_combine(self, u, out_vars, children, msg, *_):
+def _general_combine(self, u, out_vars, toward):
     """``CountingTree._combine`` with no pass-through and no pruning: every
-    row of the bag weighs 1 and is keyed. Extra arguments (the children's
-    sides) are ignored."""
+    row of the bag weighs 1 and is keyed. The messages' flags are ignored."""
     key = self.key(u, out_vars)
-    kids = [(self.key(u, self.separator(u, c)), msg[c]) for c in children]
+    kids = [(self.key(u, self.separator(u, c)), self._cache[c, u][1])
+            for c in self.tree.adjacent[u] if c != toward]
     out = {}
     for row in self.tables[u]:
         w = 1
@@ -679,10 +679,10 @@ def test_a_fix_prunes_the_rows_its_message_rules_out(q3path):
         ct.fix("A", a)
         narrowed = [r for r in rows_R if r[0] == a]
         bs = {b for _, b in narrowed}
-        ct.messages(S)  # T's message toward S is kept; swap in a counting copy
-        nodes, m = ct._cache[T, S]
+        ct.message(T, S)  # T's message toward S is kept; swap in a counting copy
+        flag, m = ct._cache[T, S]
         spy = _CountedGets(m)
-        ct._cache[T, S] = (nodes, spy)
+        ct._cache[T, S] = (flag, spy)
         got = ct.counts(S, ("C",))
 
         brute = Counter(c for _, b in narrowed for b2, c in rows_S if b2 == b
@@ -690,6 +690,62 @@ def test_a_fix_prunes_the_rows_its_message_rules_out(q3path):
         assert got == dict(brute)
         assert 0 < spy.gets <= sum(b in bs for b, _ in rows_S) < len(rows_S)
         assert stats.rows_touched == len(rows_R) + len(narrowed) + len(rows_T) + len(rows_S)
+
+
+def _side(tree, u, w):
+    """The nodes on u's side of the edge (u, w), by a walk over the tree's
+    parent links that never enters w."""
+    adj = {x: set() for x in range(len(tree.parent))}
+    for x, p in enumerate(tree.parent):
+        if p is not None:
+            adj[x].add(p)
+            adj[p].add(x)
+    seen, stack = {u, w}, [u]
+    while stack:
+        for y in adj[stack.pop()] - seen:
+            seen.add(y)
+            stack.append(y)
+    return seen - {w}
+
+
+def test_cached_messages_stay_exact_flagged_and_closed_under_inputs():
+    """After each of a random run of ``fix`` and ``counts`` calls, every
+    cached message equals the one a fresh tree over the current tables
+    computes, its flag says whether its side holds a table that lost rows,
+    and every message it was computed from is cached too."""
+    from cqrank.analysis import SINGLE_LEX
+    from cqrank.engine import CountingTree, atom_tree
+    from cqrank.model import bound_atoms
+
+    rng = random.Random(67)
+    checked = dropped = 0
+    for _ in range(150):
+        q, _, db = random_acyclic_case(rng)
+        bound = bound_atoms(q, db)
+        ct = atom_tree(q, bound, SINGLE_LEX)
+        n, adj = len(ct.vars), ct.tree.adjacent
+        for _ in range(rng.randint(1, 8)):
+            if rng.random() < 0.4:
+                var = rng.choice(sorted(q.variables))
+                held = [r[ct.vars[u].index(var)] for u in range(n) if var in ct.vars[u]
+                        for r in ct.tables[u]]
+                before = len(ct._cache)
+                ct.fix(var, rng.choice(held + [0, "a"]))
+                dropped += len(ct._cache) < before
+            else:
+                root = rng.randrange(n)
+                out = tuple(rng.sample(list(dict.fromkeys(ct.vars[root])), rng.randint(0, 1)))
+                fresh = CountingTree(ct.vars, q.head, list(ct.tables), SINGLE_LEX)
+                assert ct.counts(root, out) == fresh.counts(root, out), (q, db)
+            narrowed = {u for u in range(n) if len(ct.tables[u]) < len(bound[u].rows)}
+            assert ct.narrowed == narrowed
+            fresh = CountingTree(ct.vars, q.head, list(ct.tables), SINGLE_LEX)
+            for (u, w), (flag, m) in ct._cache.items():
+                assert m == fresh.message(u, w), (q, db, u, w)
+                assert flag == bool(narrowed & _side(ct.tree, u, w)), (q, db, u, w)
+                assert all((c, u) in ct._cache for c in adj[u] if c != w), (q, db, u, w)
+                checked += 1
+    assert checked > 500 and dropped > 20
 
 
 @pytest.mark.parametrize("text,orders", [

@@ -21,6 +21,9 @@ from cqrank.model import load_instance, load_relation, parse_order, parse_query
 OVER_LONG = "9" * 5000  # more digits than int() converts by default
 QUERIES = ["Q(A,B) :- R(A,B).", "Q(A,C) :- R(A,B), S(B,C).", "Q(A,B,C) :- R(A,B), S(B,C)."]
 ORDERS = ["lex: A,B", "lex: B", "sum: A", "sum: A,B", "lex: A,C,B"]
+# a 1 100-variable self-join path over R, V0 - V1 - ... - V1099
+WIDE_PATH = (f"Q({','.join(f'V{i}' for i in range(1100))}) :- "
+             + ", ".join(f"R(V{i},V{i + 1})" for i in range(1099)) + ".")
 
 
 def _fuzz(alphabet, max_size=40):
@@ -102,6 +105,8 @@ def _run_cli(argv) -> tuple[int, list[str]]:
          positions="0", extra=[])
 @example(command="count", query=QUERIES[2], order="lex: A,C,B", r_csv=b"A,B\n1,1\n2,1\n22,22\n",
          positions="0", extra=[])  # a trio order, which direct access cannot serve
+@example(command="select", query=WIDE_PATH, order="lex: V0", r_csv=b"A,B\n0,0\n1,1\n",
+         positions="1", extra=[])
 def test_cli_speaks_json_or_exits_2(tmp_path_factory, command, query, order, r_csv, positions, extra):
     work = tmp_path_factory.mktemp("cli")
     (work / "q.cq").write_text(query, encoding="utf-8")

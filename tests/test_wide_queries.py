@@ -10,7 +10,7 @@ from cqrank import cli
 from cqrank.analysis import JoinTree, analyze, build_variable_tree, find_disruptive_trio, gyo_join_tree
 from cqrank.baseline import materialize_and_sort, sort_before_join_access, topk_heap_access
 from cqrank.engine import build_index, count_answers
-from cqrank.model import Atom, Instance, Query, Relation, format_query, parse_order
+from cqrank.model import AnswerTuple, Atom, Instance, Query, Relation, format_query, parse_order
 from cqrank.selection import select
 
 
@@ -67,6 +67,19 @@ def _hub(leaves):
     rels = {"H": Relation("H", ("x",), ((0,), (1,)))}
     rels.update({f"L{i}": Relation(f"L{i}", ("x", "y"), ((0, 0), (1, 1))) for i in range(leaves)})
     return q, Instance(rels), "lex: X"
+
+
+def test_selection_on_a_1100_variable_path_recounts_only_what_a_fix_reaches():
+    """Each step fixes one variable, narrowing the two atoms that hold it, and
+    drops only the messages leading away from them, so the next count
+    computes one new message. Re-walking the whole tree per count, with each
+    message's side kept as a set, took 1.5-1.8 s; this takes about 0.2 s."""
+    q, db, order_text = _path(1100)
+    o = parse_order(order_text, q)
+    report = analyze(q, o)
+    t0 = time.perf_counter()
+    assert select(q, db, o, 1, seed=1, report=report) == AnswerTuple(q.head, (1,) * 1100)
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("shape", [_path, _hub], ids=["path-1100-variables", "hub-1100-leaves"])
