@@ -53,22 +53,15 @@ class JoinTree:
                 insort(adj[v], p)
         return adj
 
-    def walk(self, root: int) -> tuple[list[int | None], list[list[int]], list[int]]:
-        """One DFS from ``root``: each node's parent (``None`` at ``root``),
-        its children in node order, and a postorder that ends with ``root``."""
-        n, adj = len(self.parent), self.adjacent
-        parent: list[int | None] = [None] * n
-        children: list[list[int]] = [[] for _ in range(n)]
-        order, stack = [], [root]
+    def up_edges(self) -> list[tuple[int, int]]:
+        """Each ``(node, parent)`` edge, in the postorder of one DFS from
+        ``root``: every edge comes after the edges below it."""
+        order, stack = [], [self.root] if self.parent else []
         while stack:
             u = stack.pop()
             order.append(u)
-            children[u] = [v for v in adj[u] if v != parent[u]]
-            for v in children[u]:
-                parent[v] = u
-            stack.extend(children[u])
-        order.reverse()
-        return parent, children, order
+            stack.extend(v for v in self.adjacent[u] if v != self.parent[u])
+        return [(u, self.parent[u]) for u in reversed(order[1:])]
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
 """Synthetic three-way-join workload and the experiment driver.
 
-Experiments (desk scale, machine-readable reports):
+Each experiment is rows of one loop: for each cell (n, join size, seed), each
+rank k, and each method, one row (desk scale, machine-readable reports):
 
-* ``A`` — median access time vs. relation size for direct access, single
-  access, and full sort, under the config's lex or sum order.
-* ``B`` — access time vs. position k at a fixed size, adding the bounded-heap
-  and sort-before-join baselines (the latter under the single-attribute
-  order it requires).
-* ``C`` — (direct-access preprocessing + one access) / (one single access)
-  ratio across seeds: the break-even number of accesses.
+* ``A`` — cells over sizes, the median rank; direct access, single access
+  and full sort, under the config's lex or sum order.
+* ``B`` — one cell, ranks 1, 10, 100, ... and the last; adding the
+  bounded-heap and sort-before-join baselines (the latter under the
+  single-attribute order it requires).
+* ``C`` — cells over seeds, the median rank; its ``da`` and ``sa`` rows fold
+  into one (direct-access preprocessing + one access) / (one single access)
+  ratio: the break-even number of accesses.
 
 Every timed answer is cross-checked against the materialize-and-sort oracle
 whenever the answer count stays within ``verify_cap`` and ``result_cap``;
@@ -26,13 +28,10 @@ import time
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
+from typing import Callable
 
 from .analysis import analyze
-from .baseline import (
-    materialize_and_sort,
-    sort_before_join_access,
-    topk_heap_access,
-)
+from .baseline import materialize_and_sort, sort_before_join_access, topk_heap_access
 from .engine import build_index, count_answers
 from .errors import CqError, ConfigError, NotRouted, OutOfRange
 from .instrument import Stats
@@ -42,26 +41,9 @@ from .selection import select
 LARGE = "large"
 SMALL = "small"
 
-KNOWN_METHODS = ("da", "sa", "full-sort", "topk-heap", "sort-before-join")
-
-REPORT_COLUMNS = [
-    "experiment",
-    "method",
-    "n",
-    "k",
-    "join_size",
-    "seed",
-    "order",
-    "answers",
-    "wall_ms",
-    "preprocess_ms",
-    "access_ms",
-    "probes",
-    "comparisons",
-    "ratio",
-    "verified",
-    "error",
-]
+REPORT_COLUMNS = ["experiment", "method", "n", "k", "join_size", "seed", "order", "answers",
+                  "wall_ms", "preprocess_ms", "access_ms", "probes", "comparisons", "ratio",
+                  "verified", "error"]
 
 
 @dataclass(frozen=True)
@@ -120,8 +102,7 @@ class BenchReport:
         with open(path, "w", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
             w.writeheader()
-            for row in self.rows:
-                w.writerow({c: row.get(c, "") for c in REPORT_COLUMNS})
+            w.writerows(self.rows)  # a key a row lacks is written as ""
 
     def write_json(self, path):
         Path(path).write_text(json.dumps(self.rows, indent=2) + "\n", encoding="utf-8")
@@ -131,14 +112,37 @@ def _ms(t0: float, t1: float) -> float:
     return round((t1 - t0) * 1000.0, 3)
 
 
+def _counted_access(r: _Runner, row: dict, k: int, order: OrderSpec) -> None:
+    """``da``'s warm-up: an access that counts its probes, so the timed one counts none."""
+    if r.index is None:
+        raise r.not_routed
+    stats = Stats()
+    r.index.access(k, stats)
+    row.update(preprocess_ms=r.preprocess_ms, probes=stats.probes, comparisons=r.comparisons)
+
+
+def _select(r: _Runner, k: int, order: OrderSpec):
+    return select(r.q, r.db, order, k, seed=0, report=r.report)
+
+
+# each method's untimed warm-up (it may add untimed fields to the row), its
+# timed call, and the order it ranks under when that is not the config's. A
+# timed call returns the answer at k; full-sort's returns every answer, in order.
+_METHODS = {
+    "da": (_counted_access, lambda r, k, o: r.index.access(k), None),
+    "sa": (lambda r, row, k, o: _select(r, k, o), _select, None),
+    "full-sort": (None, lambda r, k, o: materialize_and_sort(r.q, r.db, o, cap=r.result_cap), None),
+    "topk-heap": (None, lambda r, k, o: topk_heap_access(r.q, r.db, o, k, cap=r.result_cap)[0], None),
+    "sort-before-join": (None, lambda r, k, o: sort_before_join_access(r.q, r.db, o, k)[0],
+                         OrderSpec("lex", ("B",))),  # the single-attribute order it requires
+}
+
+
 class _Runner:
     def __init__(self, q: Query, db: Instance, order: OrderSpec, verify_cap: int, result_cap: int):
-        self.q = q
-        self.db = db
-        self.order = order
+        self.q, self.db, self.order = q, db, order
         self.report = analyze(q, order)
-        self.verify_cap = verify_cap
-        self.result_cap = result_cap
+        self.verify_cap, self.result_cap = verify_cap, result_cap
         try:
             t0 = time.perf_counter()
             self.index = build_index(q, db, order)
@@ -164,48 +168,70 @@ class _Runner:
         return True
 
     def run(self, method: str, k: int) -> dict:
-        # sort-before-join ranks under the single-attribute order it requires
-        order = OrderSpec("lex", ("B",)) if method == "sort-before-join" else self.order
+        warm, timed, order = _METHODS[method]
+        order = order or self.order
         row: dict = {"method": method, "k": k, "answers": self.count,
                      "order": f"{order.kind}:{','.join(order.vars)}"}
         try:
-            if method == "da":
-                if self.index is None:
-                    raise self.not_routed
-                self.index.access(k)  # warm-up, uncounted
-                stats = Stats()
-                t0 = time.perf_counter()
-                ans = self.index.access(k, stats)
-                row["access_ms"] = _ms(t0, time.perf_counter())
-                row["preprocess_ms"] = self.preprocess_ms
-                row["wall_ms"] = round(self.preprocess_ms + row["access_ms"], 3)
-                row["probes"] = stats.probes
-                row["comparisons"] = self.comparisons
-            elif method == "sa":
-                select(self.q, self.db, self.order, k, seed=0, report=self.report)
-                t0 = time.perf_counter()
-                ans = select(self.q, self.db, self.order, k, seed=0, report=self.report)
-                row["access_ms"] = row["wall_ms"] = _ms(t0, time.perf_counter())
-            elif method == "full-sort":
-                t0 = time.perf_counter()
-                ordered = materialize_and_sort(self.q, self.db, self.order, cap=self.result_cap)
-                row["access_ms"] = row["wall_ms"] = _ms(t0, time.perf_counter())
-                if not 0 <= k < len(ordered):
-                    raise OutOfRange(k, len(ordered))
-                ans = ordered[k]
-            elif method == "topk-heap":
-                t0 = time.perf_counter()
-                ans, _log = topk_heap_access(self.q, self.db, self.order, k, cap=self.result_cap)
-                row["access_ms"] = row["wall_ms"] = _ms(t0, time.perf_counter())
-            else:  # sort-before-join
-                t0 = time.perf_counter()
-                ans, _log = sort_before_join_access(self.q, self.db, order, k)
-                row["access_ms"] = row["wall_ms"] = _ms(t0, time.perf_counter())
+            if warm:
+                warm(self, row, k, order)
+            t0 = time.perf_counter()
+            ans = timed(self, k, order)
+            row["access_ms"] = _ms(t0, time.perf_counter())
+            row["wall_ms"] = round(row.get("preprocess_ms", 0) + row["access_ms"], 3)
+            if isinstance(ans, list):  # full-sort: its k is checked once the clock has stopped
+                if not 0 <= k < len(ans):
+                    raise OutOfRange(k, len(ans))
+                ans = ans[k]
             row["verified"] = self.verify(k, ans, order)
         except CqError as exc:
             row["error"] = type(exc).__name__
         return row
 
+
+def _grid(seeds: list[int]) -> Callable:
+    """The cells of A and C: each (n, join size, seed) of the config's lists."""
+    return lambda exp: product(exp.get("ns", [1000, 10000]), exp.get("join_sizes", [LARGE, SMALL]),
+                               exp.get("seeds", seeds))
+
+
+def _one_cell(exp: dict) -> list[tuple]:
+    return [(exp.get("n", 10000), exp.get("join_size", LARGE), exp.get("seed", 1))]
+
+
+def _median(exp: dict, count: int) -> list[int]:
+    return [(count - 1) // 2 if count else 0]
+
+
+def _sweep(exp: dict, count: int) -> list[int]:
+    """The config's ``ks``, or else 1, 10, 100, ... below the last rank, then the last rank."""
+    return exp.get("ks", [10**i for i in range(len(str(count))) if 10**i < count - 1]
+                   + ([count - 1] if count else []))
+
+
+def _each(methods: list[str]) -> Callable:
+    return lambda exp, runner, k, cell: [{**runner.run(m, k), **cell}
+                                         for m in exp.get("methods", methods)]
+
+
+def _da_over_sa(exp: dict, runner: _Runner, k: int, cell: dict) -> list[dict]:
+    """One row of (direct-access preprocessing + one access) / (one single access)."""
+    da, sa = runner.run("da", k), runner.run("sa", k)
+    ok = "error" not in da and "error" not in sa and sa["wall_ms"]
+    ratio = round(da["wall_ms"] / sa["wall_ms"], 4) if ok else None
+    return [{"experiment": cell["experiment"], "method": "da_over_sa", "n": cell["n"], "k": k,
+             "join_size": cell["join_size"], "seed": cell["seed"], "order": da["order"],
+             "answers": runner.count, "preprocess_ms": da.get("preprocess_ms"),
+             "access_ms": da.get("access_ms"), "wall_ms": sa.get("wall_ms"), "ratio": ratio,
+             "verified": da.get("verified"), "error": da.get("error") or sa.get("error")}]
+
+
+# each experiment's cells, the ranks it runs in a cell, and the rows it makes at a rank
+_EXPERIMENTS = {
+    "A": (_grid([1]), _median, _each(["da", "sa", "full-sort"])),
+    "B": (_one_cell, _sweep, _each(["da", "sa", "topk-heap", "sort-before-join", "full-sort"])),
+    "C": (_grid([1, 2, 3, 4, 5, 6]), _median, _da_over_sa),
+}
 
 # the type of each config key run_benchmark reads, at the top level or in an
 # experiment: a scalar, or a list of items of the type
@@ -235,11 +261,11 @@ def _check_config(config) -> None:
                                    and all(_is(x, kind) for x in obj[key])):
                 raise ConfigError(f"{key!r} must be a list of {kind.__name__}, not {obj[key]!r}")
     for exp in config["experiments"]:
-        if exp.get("id") not in ("A", "B", "C"):
+        if exp.get("id") not in tuple(_EXPERIMENTS):  # a tuple, for an id that cannot be hashed
             raise ConfigError(f"unknown experiment id {exp.get('id')!r}")
         for m in exp.get("methods", []):
-            if m not in KNOWN_METHODS:
-                raise ConfigError(f"unknown method {m!r}; known: {KNOWN_METHODS}")
+            if m not in _METHODS:
+                raise ConfigError(f"unknown method {m!r}; known: {tuple(_METHODS)}")
         for n, js in product(exp.get("ns", []) + [exp.get("n", 1)],
                              exp.get("join_sizes", []) + [exp.get("join_size", LARGE)]):
             GenConfig(n, js)
@@ -263,56 +289,12 @@ def run_benchmark(config) -> BenchReport:
     warm = _Runner(q, generate_instance(GenConfig(200, LARGE, 0)), order, 0, result_cap)
     warm.run("da", warm.count // 2)
 
-    def cells(exp, seeds):
-        """Each (n, join size, seed) of an A or C experiment, its runner and median k."""
-        for n, js, seed in product(exp.get("ns", [1000, 10000]),
-                                   exp.get("join_sizes", [LARGE, SMALL]), exp.get("seeds", seeds)):
-            runner = _Runner(q, generate_instance(GenConfig(n, js, seed)), order, verify_cap, result_cap)
-            yield n, js, seed, runner, (runner.count - 1) // 2 if runner.count else 0
-
     rows: list[dict] = []
     for exp in config["experiments"]:
-        eid = exp.get("id")
-        if eid == "A":
-            methods = exp.get("methods", ["da", "sa", "full-sort"])
-            for n, js, seed, runner, k in cells(exp, [1]):
-                for m in methods:
-                    row = runner.run(m, k)
-                    row.update(experiment="A", n=n, join_size=js, seed=seed)
-                    rows.append(row)
-        elif eid == "B":
-            n = exp.get("n", 10000)
-            js = exp.get("join_size", LARGE)
-            seed = exp.get("seed", 1)
-            methods = exp.get("methods", ["da", "sa", "topk-heap", "sort-before-join", "full-sort"])
-            runner = _Runner(q, generate_instance(GenConfig(n, js, seed)),
-                             order, verify_cap, result_cap)
-            ks = exp.get("ks")
-            if ks is None:
-                ks, k = [], 1
-                while k < runner.count:
-                    ks.append(k)
-                    k *= 10
-                if runner.count and runner.count - 1 not in ks:
-                    ks.append(runner.count - 1)
-            for k in ks:
-                for m in methods:
-                    row = runner.run(m, k)
-                    row.update(experiment="B", n=n, join_size=js, seed=seed)
-                    rows.append(row)
-        else:  # "C"
-            for n, js, seed, runner, k in cells(exp, [1, 2, 3, 4, 5, 6]):
-                da = runner.run("da", k)
-                sa = runner.run("sa", k)
-                ratio = None
-                if "error" not in da and "error" not in sa and sa["wall_ms"]:
-                    ratio = round(da["wall_ms"] / sa["wall_ms"], 4)
-                rows.append({
-                    "experiment": "C", "method": "da_over_sa", "n": n, "k": k,
-                    "join_size": js, "seed": seed, "order": da["order"],
-                    "answers": runner.count, "preprocess_ms": da.get("preprocess_ms"),
-                    "access_ms": da.get("access_ms"), "wall_ms": sa.get("wall_ms"),
-                    "ratio": ratio, "verified": da.get("verified"),
-                    "error": da.get("error") or sa.get("error"),
-                })
+        cells, ranks, rows_at = _EXPERIMENTS[exp["id"]]
+        for n, js, seed in cells(exp):
+            runner = _Runner(q, generate_instance(GenConfig(n, js, seed)), order, verify_cap, result_cap)
+            cell = {"experiment": exp["id"], "n": n, "join_size": js, "seed": seed}
+            for k in ranks(exp, runner.count):
+                rows += rows_at(exp, runner, k, cell)
     return BenchReport(rows)

@@ -264,8 +264,7 @@ def _reduce(q: Query, db: Instance) -> tuple[CountingTree, ReducedDB]:
     # stage 1: full semi-join reduction over the directed edges, up then down.
     # A bag's key set over a separator is kept until the bag loses rows, so
     # a later pass over the same separator reads no row.
-    parent, _, postorder = ct.tree.walk(ct.tree.root)
-    up = [(u, parent[u]) for u in postorder[:-1]]
+    up = ct.tree.up_edges()
     keysets: dict[tuple, set] = {}
     for src, dst in up + [(p, u) for u, p in reversed(up)]:
         sep = ct.separator(src, dst)

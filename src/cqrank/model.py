@@ -103,8 +103,18 @@ class Query:
     atoms: tuple[Atom, ...]
 
     def __post_init__(self):
+        """``parse_query``'s checks, for a hand-built query too; a query with
+        no atoms gets the ``QuerySyntaxError`` of its ``format_query`` text."""
         object.__setattr__(self, "head", tuple(self.head))
         object.__setattr__(self, "atoms", tuple(self.atoms))
+        if not self.atoms:
+            _Scanner(format_query(self)).query()  # raises
+        if len(self.head_set) < len(self.head):
+            raise DuplicateHeadVariable(next(v for i, v in enumerate(self.head) if v in self.head[:i]))
+        body = self.variables
+        for v in self.head:
+            if v not in body:
+                raise UnboundHeadVariable(v)
 
     @property
     def head_set(self) -> frozenset[str]:
@@ -240,16 +250,6 @@ def parse_query(text: str) -> Query:
     name, head, body = m.groups()
     head = _IDENT_RE.findall(head)
     atoms = [Atom(rel, tuple(_IDENT_RE.findall(vs))) for rel, vs in _ATOM_RE.findall(body)]
-
-    seen = set()
-    for v in head:
-        if v in seen:
-            raise DuplicateHeadVariable(v)
-        seen.add(v)
-    body_vars = {v for a in atoms for v in a.vars}
-    for v in head:
-        if v not in body_vars:
-            raise UnboundHeadVariable(v)
     return Query(name, tuple(head), tuple(atoms))
 
 

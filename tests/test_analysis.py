@@ -83,21 +83,18 @@ def test_gyo_running_intersection_random():
     assert hits > 100
 
 
-def test_join_tree_walk_from_every_root():
-    rootings = 0
+def test_join_tree_up_edges_lead_to_the_root():
+    """Each non-root node once, on its tree edge, after the edges below it."""
+    trees = 0
     for t in _random_join_trees():
-        n = len(t.node_vars)
-        edges = {frozenset((u, p)) for u, p in enumerate(t.parent) if p is not None}
-        for r in range(n):
-            parent, children, postorder = t.walk(r)
-            assert parent[r] is None
-            assert all(frozenset((u, parent[u])) in edges for u in range(n) if u != r)
-            assert children == [[c for c in range(n) if parent[c] == u] for u in range(n)]
-            assert sorted(postorder) == list(range(n)) and postorder[-1] == r
-            at = {u: i for i, u in enumerate(postorder)}
-            assert all(at[c] < at[u] for u in range(n) for c in children[u])
-            rootings += 1
-    assert rootings > 300
+        up = t.up_edges()
+        assert sorted(u for u, _ in up) == [u for u in range(len(t.node_vars)) if u != t.root]
+        assert all(t.parent[u] == p for u, p in up)
+        at = {u: i for i, (u, _) in enumerate(up)}
+        assert all(at[c] < at[u] for c, u in up if u != t.root)
+        trees += 1
+    assert trees > 100
+    assert JoinTree((), (), -1).up_edges() == []
 
 
 def test_free_connex_flags(q2path, qproj, qtriangle):

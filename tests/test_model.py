@@ -439,3 +439,44 @@ def test_bound_atoms_repeated_vars():
     (b,) = bound_atoms(q, db)
     assert b.vars == ("A",)
     assert b.rows == ((1,), (3,))
+
+
+
+_R = (Atom("R", ("A", "B")),)
+HAND_BUILT = {  # each query's fields, and its format_query text
+    "unbound-head": (("Q", ("A", "Z"), _R), "Q(A,Z) :- R(A,B)."),
+    "duplicate-head": (("Q", ("A", "A"), _R), "Q(A,A) :- R(A,B)."),
+    "no-atoms": (("Q", ("A",), ()), "Q(A) :- ."),
+    "no-atoms-no-head": (("Q", (), ()), "Q() :- ."),
+}
+
+
+@pytest.mark.parametrize("entry", ["build_index", "select", "materialize_and_sort", "emit_sql",
+                                   "build_reduced_db", "count_answers", "stream_answers"])
+@pytest.mark.parametrize("case", list(HAND_BUILT))
+def test_a_hand_built_query_is_checked_as_its_text_is(case, entry):
+    """A ``Query`` refuses what ``parse_query`` refuses in its text, with the
+    same error, so no entry point meets a head variable that no atom binds
+    or a query with no atoms. A Boolean query (empty head) stays allowed."""
+    import cqrank
+    from cqrank.engine import count_answers
+    from cqrank.errors import CqError
+    from cqrank.model import Query
+
+    fields, text = HAND_BUILT[case]
+    db = Instance({"R": Relation("R", ("X", "Y"), ((1, 2), (3, 4)))})
+    calls = {
+        "build_index": lambda q: cqrank.build_index(q, db, OrderSpec("lex", q.head)),
+        "select": lambda q: cqrank.select(q, db, OrderSpec("lex", q.head), 0),
+        "materialize_and_sort": lambda q: cqrank.materialize_and_sort(q, db, OrderSpec("lex", q.head)),
+        "emit_sql": lambda q: emit_sql(q, OrderSpec("lex", q.head), [0], OFFSET_LIMIT),
+        "build_reduced_db": lambda q: cqrank.build_reduced_db(q, db),
+        "count_answers": lambda q: count_answers(q, db),
+        "stream_answers": lambda q: list(cqrank.stream_answers(q, db)),
+    }
+    with pytest.raises(CqError) as want:
+        parse_query(text)
+    with pytest.raises(CqError) as got:
+        calls[entry](Query(*fields))
+    assert type(got.value) is type(want.value) and vars(got.value) == vars(want.value)
+    assert count_answers(Query("Q", (), _R), db) == 2  # as count_answers gave before
