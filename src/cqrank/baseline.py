@@ -148,6 +148,8 @@ def topk_heap_access(q: Query, db: Instance, o: OrderSpec, k: int, cap: int = 10
     if 2 * k >= count:
         log = StrategyLog(TOPK_HEAP, FULL_SORT, "k >= |J|/2", count, k)
         return materialize_and_sort(q, db, o, cap)[k], log
+    if k + 1 > cap:  # the heap would hold k+1 answers
+        raise ResultTooLarge(cap)
     # a heap of the k+1 smallest answers; its largest is the answer at k
     best = heapq.nsmallest(k + 1, stream_answers(q, db), key=sort_key_fn(q, o))[-1]
     log = StrategyLog(TOPK_HEAP, TOPK_HEAP, "k < |J|/2", count, k)

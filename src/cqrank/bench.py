@@ -33,7 +33,7 @@ from typing import Callable
 from .analysis import analyze
 from .baseline import materialize_and_sort, sort_before_join_access, topk_heap_access
 from .engine import build_index, count_answers
-from .errors import CqError, ConfigError, NotRouted, OutOfRange
+from .errors import CqError, ConfigError, OutOfRange
 from .instrument import Stats
 from .model import Instance, OrderSpec, Query, Relation, parse_order, parse_query, read_utf8
 from .selection import select
@@ -113,9 +113,16 @@ def _ms(t0: float, t1: float) -> float:
 
 
 def _counted_access(r: _Runner, row: dict, k: int, order: OrderSpec) -> None:
-    """``da``'s warm-up: an access that counts its probes, so the timed one counts none."""
+    """``da``'s warm-up: the cell's index, built on its first ``da`` row (a
+    ``NotRouted`` build is the row's error; the other methods still run), and
+    an access that counts its probes, so the timed one counts none."""
     if r.index is None:
-        raise r.not_routed
+        t0 = time.perf_counter()
+        r.index = build_index(r.q, r.db, order)
+        r.preprocess_ms = _ms(t0, time.perf_counter())
+        # counted in a build of its own, so the counting sort key stays out of preprocess_ms
+        counted = build_index(r.q, r.db, order, report=r.report, count_comparisons=True)
+        r.comparisons = counted.build_stats.comparisons
     stats = Stats()
     r.index.access(k, stats)
     row.update(preprocess_ms=r.preprocess_ms, probes=stats.probes, comparisons=r.comparisons)
@@ -143,16 +150,7 @@ class _Runner:
         self.q, self.db, self.order = q, db, order
         self.report = analyze(q, order)
         self.verify_cap, self.result_cap = verify_cap, result_cap
-        try:
-            t0 = time.perf_counter()
-            self.index = build_index(q, db, order)
-            self.preprocess_ms = _ms(t0, time.perf_counter())
-            # counted in a build of its own, so the counting sort key stays out of preprocess_ms
-            counted = build_index(q, db, order, report=self.report, count_comparisons=True)
-            self.comparisons, self.count = counted.build_stats.comparisons, self.index.count
-        except NotRouted as exc:  # each `da` row records it; the other methods still run
-            self.index, self.not_routed = None, exc
-            self.count = count_answers(q, db)
+        self.count, self.index = count_answers(q, db), None
         self._oracles: dict[OrderSpec, list] = {}  # one per order a method ranks under
 
     def verify(self, k, answer, order: OrderSpec | None = None) -> bool | None:

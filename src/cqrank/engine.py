@@ -19,20 +19,19 @@ it feeds to the rows it can extend. Construction happens in three steps:
    loses rows.
 
 2. *Existential elimination* — the kernel's counting messages toward a
-   virtual head node added to the join tree. Atoms adjacent to the head node
-   become weighted relations over their head variables (weight = number of
-   ways to extend a projected row downward); deeper atoms keep weight 1 and
-   only constrain. A leaf of that tree is its bag counted per head
-   assignment, a count left to the first read of its ``rows``. The weighted
-   natural join of these reduced relations reproduces the answer bag exactly.
+   virtual head node joined to the atoms' tree (``_relation``), read by
+   stage 3 on demand. An atom next to the head node is a weighted relation
+   over its head variables (weight = number of ways to extend a projected
+   row downward); a deeper atom keeps weight 1 and only constrains. The
+   weighted natural join of these relations reproduces the answer bag.
 
 3. *Candidate tables* — for a trio-free order w, each variable's preceding
    neighbors form a clique covered by some atom, so the candidates for w_i
    given an assignment of those neighbors are a slice of that anchor atom.
-   Bottom-up, one pass splits the anchor's rows per ν: a leaf's bag, each
-   group counted per value (so a leaf's count over all its rows never
-   runs), or an inner atom's weighted rows; an anchor not settled at w_i
-   keeps its distinct (ν, v) pairs at weight 1. Each group's values are
+   Bottom-up, one pass splits the anchor's rows per ν: a head-tree leaf's
+   bag, each group counted per value (so the leaf's message never runs), or
+   another atom's weighted relation; an anchor not settled at w_i splits its
+   bag to its distinct (ν, v) pairs at weight 1. Each group's values are
    sorted alone, and g(ν, v) = (that weight) × (weights of the other atoms
    settled at w_i) × (child subtree totals) is prefix-summed in that order.
 
@@ -48,17 +47,17 @@ order's kind and checks it.
 Join keys: inside the kernel (counting messages, the stage 1 key sets, the ν
 groups and child totals of stage 3) a key over exactly one variable is the
 bare value, and a key over zero or several variables is the tuple of values
-(``_key``). Values are ``int``/``str``, never tuples, so the two kinds cannot
-collide. Everything that leaves the kernel — ``ReducedAtom.rows``,
-``sum_blocks`` and the ν keys of ``AccessIndex.groups`` — is keyed by tuples
-(``_tupled``); the tree itself hands out one key shape, ``counts`` by ``_key``.
+(``_key``). Values are ``int``/``str`` (``Relation`` checks its cells), never
+tuples, so the two kinds cannot collide. Everything that leaves the kernel —
+``_relation``'s rows, ``sum_blocks`` and the ν keys of ``AccessIndex.groups``
+— is keyed by tuples (``_tupled``); ``counts`` hands out ``_key``'s shape.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from itertools import accumulate, chain, compress, repeat
 from operator import itemgetter, mul, setitem
 
@@ -78,22 +77,13 @@ from .model import (LEX, AnswerTuple, Instance, Query, _no_gc, bound_atoms, chec
                     check_weight_columns, tuple_key, value_key)
 
 
+@dataclass(frozen=True)
 class ReducedAtom:
-    """Weighted relation over one atom's head variables (head order). ``rows``
-    may be a ``Counter``, a ``dict`` that every lookup reads with ``.get``.
-    A leaf ``u`` of the head tree (``leaf = (tree, u)``) counts its bag
-    ``tree.tables[u]`` into ``rows`` on the first read; the candidate tables
-    split that bag without it."""
+    """Weighted relation over one atom's head variables (head order), keyed
+    by tuples; ``build_reduced_db`` reports them, the build reads none."""
 
-    def __init__(self, vars_: tuple[str, ...], rows: dict | None = None, leaf=None):
-        self.vars, self.leaf = vars_, leaf
-        if rows is not None:
-            self.rows = rows
-
-    @cached_property
-    def rows(self) -> dict[tuple, int]:
-        tree, u = self.leaf  # the head node follows the atoms
-        return _tupled(tree._combine(u, self.vars, len(tree.tables)), len(self.vars))
+    vars: tuple[str, ...]
+    rows: dict[tuple, int]
 
 
 @dataclass(frozen=True)
@@ -251,15 +241,16 @@ def count_answers(q: Query, db: Instance) -> int:
 
 def build_reduced_db(q: Query, db: Instance) -> ReducedDB:
     """Stages 1 and 2: fully reduced, head-projected weighted relations."""
-    return ReducedDB(tuple(ReducedAtom(a.vars, a.rows) for a in _reduce(q, db)[1].atoms))
+    ht = _reduce(q, db)[1]
+    return ReducedDB(tuple(ReducedAtom(*_relation(ht, u)) for u in range(len(ht.tables))))
 
 
-def _reduce(q: Query, db: Instance) -> tuple[CountingTree, ReducedDB]:
-    """``build_reduced_db``, plus the atom counting tree over the fully
-    reduced bags; stage 1 drops only rows that no answer extends, so that
-    tree counts every answer as the unreduced one does."""
+def _reduce(q: Query, db: Instance) -> tuple[CountingTree, CountingTree]:
+    """The atom counting tree over the fully reduced bags (stage 1 drops only
+    rows that no answer extends, so it counts every answer), and the head
+    tree: the same bags joined to a virtual head node ``F`` after the atoms."""
     ct = atom_tree(q, bound_atoms(q, db), DIRECT_LEX)
-    tables, vars_list = ct.tables, list(ct.vars)
+    tables = ct.tables
 
     # stage 1: full semi-join reduction over the directed edges, up then down.
     # A bag's key set over a separator is kept until the bag loses rows, so
@@ -276,21 +267,19 @@ def _reduce(q: Query, db: Instance) -> tuple[CountingTree, ReducedDB]:
             tables[dst] = list(compress(tables[dst], map(keys.__contains__, map(dst_key, tables[dst]))))
             keysets = {e: ks for e, ks in keysets.items() if e[0] != dst}
         keysets[dst, sep] = kept
+    return ct, CountingTree(list(ct.vars) + [q.head], q.head, tables, DIRECT_LEX,
+                            reason="not_free_connex")
 
-    # stage 2: counting messages toward a virtual head node F; an atom next
-    # to F with no other neighbour is not counted here but on its first read
-    F = len(tables)
-    ht = CountingTree(vars_list + [q.head], q.head, tables, DIRECT_LEX, reason="not_free_connex")
-    adj = ht.tree.adjacent
-    reduced = []
-    for u in range(F):
-        hv = ht.separator(u, F)
-        if F not in adj[u]:
-            reduced.append(ReducedAtom(hv, dict.fromkeys(map(_proj(vars_list[u], hv), tables[u]), 1)))
-        else:
-            reduced.append(ReducedAtom(hv, _tupled(ht.message(u, F), len(hv))) if len(adj[u]) > 1
-                           else ReducedAtom(hv, leaf=(ht, u)))
-    return ct, ReducedDB(tuple(reduced))
+
+def _relation(ht: CountingTree, u: int) -> tuple[tuple[str, ...], dict]:
+    """Stage 2 for atom ``u``: its head variables (head order) and its rows
+    over them, keyed by tuples: its counting message to the head node ``F``
+    when it is next to ``F``, else its projected rows at weight 1."""
+    F = len(ht.tables)
+    hv = ht.separator(u, F)
+    if F in ht.tree.adjacent[u]:
+        return hv, _tupled(ht.message(u, F), len(hv))
+    return hv, dict.fromkeys(map(_proj(ht.vars[u], hv), ht.tables[u]), 1)
 
 
 def sum_blocks(q: Query, ct: CountingTree, report: TractabilityReport):
@@ -324,23 +313,24 @@ def _sort_values(values, stats: Stats | None):
         return sorted(values, key=value_key)
 
 
-def _build_tables(q: Query, rdb: ReducedDB, order, stats: Stats | None):
+def _build_tables(q: Query, ht: CountingTree, order, stats: Stats | None):
     vt = build_variable_tree(q, order)
-    f = len(order)
+    f, F = len(order), len(ht.tables)
     children = vt.children()
     groups: list[dict[tuple, _Group]] = [None] * f
     totals: list[dict] = [None] * f  # keyed by _key over ν
 
     for i in reversed(range(f)):
         a, w, nset = vt.anchor[i], vt.order[i], vt.nsets[i]
-        # an anchor settled at w_i has vars exactly ν ∪ {w_i}: a leaf's bag
-        # is counted per (ν, v), an inner atom has one weighted row per pair
-        anchor, settled = rdb.atoms[a], a in vt.assigned[i]
-        if anchor.leaf:
-            tree, u = anchor.leaf
-            weights = _split(tree.vars[u], tree.tables[u], nset, w, "count" if settled else "one")
+        # an anchor settled at w_i has head vars exactly ν ∪ {w_i}: a
+        # head-tree leaf's bag is counted per (ν, v), any other atom has one
+        # weighted row per pair. One not settled keeps its bag's distinct
+        # (ν, v) pairs: after full reduction no bag row weighs 0.
+        settled = a in vt.assigned[i]
+        if settled and ht.tree.adjacent[a] != [F]:
+            weights = _split(*_relation(ht, a), nset, w, "row")
         else:
-            weights = _split(anchor.vars, anchor.rows, nset, w, "row" if settled else "one")
+            weights = _split(ht.vars[a], ht.tables[a], nset, w, "count" if settled else "one")
 
         # weights of the other atoms settled at w_i, then the child subtree
         # totals; all their vars lie in ν ∪ {w_i}, so they key off the
@@ -350,8 +340,8 @@ def _build_tables(q: Query, rdb: ReducedDB, order, stats: Stats | None):
         pvars = (w,) + nset
         alone = _key((w,), (w,))
         direct = [totals[c] for c in children[i] if vt.nsets[c] == (w,)]
-        lookups = [(_proj(pvars, rdb.atoms[ai].vars), rdb.atoms[ai].rows)
-                   for ai in vt.assigned[i] if ai != a]
+        lookups = [(_proj(pvars, hv), rows)
+                   for hv, rows in (_relation(ht, ai) for ai in vt.assigned[i] if ai != a)]
         lookups += [(_key(pvars, vt.nsets[c]), totals[c]) for c in children[i]
                     if vt.nsets[c] != (w,)]
 
@@ -371,7 +361,7 @@ def _build_tables(q: Query, rdb: ReducedDB, order, stats: Stats | None):
 
     count = 1
     for ai in vt.scalar_atoms:
-        count *= rdb.atoms[ai].rows.get((), 0)
+        count *= _relation(ht, ai)[1].get((), 0)
     for r in vt.roots():
         count *= totals[r].get((), 0)
     return vt, groups, count
@@ -472,12 +462,12 @@ def build_index(q: Query, db: Instance, o, *, report: TractabilityReport | None 
     values), are its first level. ``report``, when given, must be
     ``analyze(q, o)``, which is then not run again."""
     report, mode = _routed(q, db, o, report, (DIRECT_LEX, DIRECT_SUM))
-    ct, rdb = _reduce(q, db)
+    ct, ht = _reduce(q, db)
     prefix, blocks, rank = sum_blocks(q, ct, report) if mode == DIRECT_SUM else ((), [], None)
     del ct  # free its count messages before the candidate tables are built
     stats = Stats() if count_comparisons else None
     order = report.completed_order
-    vt, groups, count = _build_tables(q, rdb, order, stats)
+    vt, groups, count = _build_tables(q, ht, order, stats)
     blocks = sorted_counted(blocks, key=lambda b: rank(b[0]), stats=stats)
     cums = list(accumulate(map(itemgetter(1), blocks)))
     if order[:len(prefix)] != prefix:

@@ -55,6 +55,12 @@ class RaggedRow(CqError):
         self.line = line
 
 
+class InvalidCell(CqError):
+    def __init__(self, relation, cell):
+        super().__init__(f"relation {relation!r}: {type(cell).__name__} cell {cell!r} is not int/str")
+        self.relation, self.cell = relation, cell
+
+
 class IntegerTooLong(CqError):
     def __init__(self, path, line):
         super().__init__(f"{path}: line {line}: integer has more digits than int() converts")

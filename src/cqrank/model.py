@@ -13,7 +13,7 @@ import re
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -23,6 +23,7 @@ from .errors import (
     DuplicateVariable,
     EmptyHeader,
     IntegerTooLong,
+    InvalidCell,
     InvalidPositions,
     MissingRelation,
     NonFreeVariable,
@@ -69,6 +70,9 @@ class Relation:
         if set(map(len, rows)) - {arity}:
             bad = next(r for r in rows if len(r) != arity)
             raise ArityMismatch(self.name, len(bad), arity)
+        if set(map(type, chain.from_iterable(rows))) - {int, str}:  # exactly: no bool, no subclass
+            raise InvalidCell(self.name, next(c for c in chain.from_iterable(rows)
+                                              if type(c) not in (int, str)))
 
     @classmethod
     def _of_rows(cls, name, columns, rows):

@@ -85,6 +85,21 @@ def test_topk_heap_examples(q2path, db1):
         topk_heap_access(q2path, db1, o, 4)
 
 
+@pytest.mark.parametrize("cap", [1, 6])
+def test_topk_heap_holds_at_most_cap_answers(q2path, cap):
+    """On the heap path, rank k needs a heap of k+1 answers: it is answered
+    at k+1 = cap and refused with ``ResultTooLarge(cap)`` at k+1 = cap+1."""
+    o = parse_order("lex: A,B,C", q2path)
+    db = random_instance(q2path, random.Random(5), 20, 3)
+    oracle = materialize_and_sort(q2path, db, o)
+    assert 2 * cap < len(oracle) <= 10**8  # both ranks take the heap path
+    ans, log = topk_heap_access(q2path, db, o, cap - 1, cap=cap)
+    assert ans == oracle[cap - 1] and log.ran == "TopKHeap"
+    with pytest.raises(ResultTooLarge) as e:
+        topk_heap_access(q2path, db, o, cap, cap=cap)
+    assert e.value.cap == cap
+
+
 def test_topk_switch_rule_exact(q2path):
     rng = random.Random(3)
     o = parse_order("lex: A,B,C", q2path)

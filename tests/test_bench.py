@@ -217,6 +217,28 @@ def test_bench_runs_orders_direct_lex_cannot_build(order, unrouted):
             assert not r.get("error") and r["verified"] is True, r
 
 
+@pytest.mark.parametrize("methods,builds", [(["topk-heap"], 0), (["topk-heap", "da"], 2)])
+def test_only_a_cell_that_runs_da_builds_the_index(methods, builds, monkeypatch):
+    """After the warm-up cell's two builds, a cell builds the index, plain and
+    counted, once if it runs ``da`` and never if it does not; its answer
+    count is the same either way."""
+    import cqrank.bench as bench
+
+    real, built = bench.build_index, []
+
+    def spy(q, db, *args, **kwargs):
+        built.append(len(db.relations["R"].rows))
+        return real(q, db, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "build_index", spy)
+    rows = run_benchmark({"experiments": [{"id": "B", "n": 300, "join_size": "small", "ks": [5, 9],
+                                           "methods": methods}]}).rows
+    assert built == [200, 200] + [300] * builds
+    count = bench.count_answers(bench_query(), generate_instance(GenConfig(300, "small", 1)))
+    assert [r["answers"] for r in rows] == [count] * len(rows) and count > 9
+    assert all(r["verified"] is True for r in rows), rows
+
+
 def test_committed_bench_results_name_their_command_machine_and_commits():
     """Every ``BENCH_*.json`` at the repository root parses and says how it
     was measured: the command, the machine and the commits compared."""

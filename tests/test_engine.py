@@ -831,12 +831,13 @@ def _row_loop_build_tables(q, rdb, order, stats):
     return vt, groups, count
 
 
-def _tables_outcome(build, q, rdb, order):
+def _tables_outcome(build, q, source, order):
     """A build's groups with their values and prefix sums, its count, and the
-    comparisons a counted build of the same tables makes."""
-    _, groups, count = build(q, rdb, order, None)
+    comparisons a counted build of the same tables makes; ``source`` is what
+    ``build`` reads (a head tree, or a reduced database)."""
+    _, groups, count = build(q, source, order, None)
     stats = Stats()
-    build(q, rdb, order, stats)
+    build(q, source, order, stats)
     return ([[(nu, g.values, g.cums) for nu, g in gm.items()] for gm in groups],
             count, stats.comparisons)
 
@@ -850,46 +851,14 @@ def _unsettled_anchors(q, order):
     return sum(vt.anchor[i] not in vt.assigned[i] for i in range(len(order)))
 
 
-def test_distinct_pair_tables_match_the_row_loop():
-    """Candidate tables built from each anchor's distinct (ν, v) pairs equal
-    the row-by-row loop's: the same groups, values, prefix sums, count and
-    counted comparisons."""
-    from cqrank.analysis import build_variable_tree
-    from cqrank.engine import _build_tables
-
-    rng = random.Random(29)
-    unsettled = 0
-    for _ in range(300):
-        q, orders, db = random_acyclic_case(rng)
-        for o in orders:
-            report = analyze(q, o)
-            if not report.routing[DIRECT_LEX if o.kind == "lex" else DIRECT_SUM].ok:
-                continue
-            rdb, order = build_reduced_db(q, db), report.completed_order
-            assert _tables_outcome(_build_tables, q, rdb, order) == \
-                _tables_outcome(_row_loop_build_tables, q, rdb, order), (q, o, db)
-            unsettled += _unsettled_anchors(q, order)
-    assert unsettled >= 100, unsettled
-
-    # a partial order whose first variable's anchor is not settled there:
-    # R(A,B) has several rows per value of A
-    q = parse_query("Q(A,B) :- R(A,B), S(B,C).")
-    report = analyze(q, parse_order("lex: A", q))
-    vt = build_variable_tree(q, report.completed_order)
-    assert vt.nsets[0] == () and vt.anchor[0] not in vt.assigned[0]
-    for _ in range(20):
-        db = random_instance(q, rng, rng.randint(0, 40), 4)
-        rdb = build_reduced_db(q, db)
-        got = _tables_outcome(_build_tables, q, rdb, report.completed_order)
-        assert got == _tables_outcome(_row_loop_build_tables, q, rdb, report.completed_order), db
-
-
-def test_bag_groups_match_the_counted_relations(monkeypatch):
-    """Candidate tables that split and count a head-tree leaf's bag per group
-    equal the ones built from the counted relations (what
-    ``build_reduced_db`` hands out): the same groups in the same order, the
-    same values, prefix sums, count and counted comparisons."""
+def test_head_tree_tables_match_the_row_loop_over_the_reduced_relations(monkeypatch):
+    """Candidate tables read off the head tree on demand equal the row-by-row
+    loop's over the reduced relations ``build_reduced_db`` reports: the same
+    groups in the same order, the same values, prefix sums, count and counted
+    comparisons. Each split mode runs often, and so do anchors not settled at
+    their level, whose bags are split to their distinct (ν, v) pairs."""
     from cqrank import engine
+    from cqrank.analysis import build_variable_tree
 
     real, calls = engine._split, Counter()
 
@@ -898,11 +867,21 @@ def test_bag_groups_match_the_counted_relations(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(engine, "_split", spy)
-    rng = random.Random(37)
+    rng = random.Random(29)
     cases = [random_acyclic_case(rng) for _ in range(300)]
+    # a partial order whose first variable's anchor is not settled there:
+    # R(A,B) has several rows per value of A
+    q = parse_query("Q(A,B) :- R(A,B), S(B,C).")
+    lex_a = parse_order("lex: A", q)
+    vt = build_variable_tree(q, analyze(q, lex_a).completed_order)
+    assert vt.nsets[0] == () and vt.anchor[0] not in vt.assigned[0]
+    cases += [(q, [lex_a], random_instance(q, rng, rng.randint(0, 40), 4)) for _ in range(20)]
+    rng = random.Random(37)
+    cases += [random_acyclic_case(rng) for _ in range(300)]
     q = parse_query("Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D).")
     for d in (3, 40):  # groups that repeat values, and groups that do not
         cases.append((q, [parse_order("lex: A,B,C,D", q)], random_instance(q, rng, 60, d)))
+    unsettled = 0
     for q, orders, db in cases:
         for o in orders:
             report = analyze(q, o)
@@ -910,5 +889,31 @@ def test_bag_groups_match_the_counted_relations(monkeypatch):
                 continue
             order = report.completed_order
             assert _tables_outcome(engine._build_tables, q, engine._reduce(q, db)[1], order) == \
-                _tables_outcome(engine._build_tables, q, build_reduced_db(q, db), order), (q, o, db)
+                _tables_outcome(_row_loop_build_tables, q, build_reduced_db(q, db), order), (q, o, db)
+            unsettled += _unsettled_anchors(q, order)
+    assert unsettled >= 100, unsettled
     assert min(calls["count"], calls["row"], calls["one"]) >= 100, calls
+
+
+def test_a_bench_build_sends_no_message_to_the_head_node(monkeypatch):
+    """Each atom of the bench 3-path is a head-tree leaf, and under
+    ``lex: A,B,C,D`` each is an anchor, so the build counts each bag per group
+    and never its message to the head node; ``build_reduced_db`` asks for all
+    three."""
+    from cqrank.bench import GenConfig, bench_query, generate_instance
+    from cqrank.engine import CountingTree, count_answers
+
+    real, toward_head = CountingTree._combine, []
+
+    def spy(self, u, out_vars, toward):
+        if toward == len(self.tables):  # the head node follows the atoms
+            toward_head.append(u)
+        return real(self, u, out_vars, toward)
+
+    monkeypatch.setattr(CountingTree, "_combine", spy)
+    q = bench_query()
+    db = generate_instance(GenConfig(300, "small", 1))
+    assert build_index(q, db, parse_order("lex: A,B,C,D", q)).count == count_answers(q, db) > 0
+    assert toward_head == []
+    build_reduced_db(q, db)
+    assert sorted(toward_head) == [0, 1, 2]

@@ -10,6 +10,7 @@ from cqrank.errors import (
     DuplicateVariable,
     EmptyHeader,
     IntegerTooLong,
+    InvalidCell,
     MissingRelation,
     NonFreeVariable,
     NonNumericWeightColumn,
@@ -231,6 +232,18 @@ def test_relation_arity_mismatch_names_the_first_bad_row():
     with pytest.raises(ArityMismatch) as e:
         Relation("R", ("A", "B"), ((1, 2), (1,), (1, 2, 3)))
     assert str(e.value) == "arity mismatch for 'R': got 1, expected 2"
+
+
+@pytest.mark.parametrize("cell", [1.5, True, None, (1, 2)])
+def test_relation_refuses_a_cell_that_is_not_an_int_or_a_str(cell):
+    """A float or a bool cell made the engines and the oracle disagree, and a
+    tuple cell breaks the bare join keys: each raises ``InvalidCell`` naming
+    the relation, the cell and its type. A mixed int/str relation loads."""
+    with pytest.raises(InvalidCell) as e:
+        Relation("R", ("A", "B"), ((2, 2), (cell, 1), (1, 1)))
+    assert e.value.relation == "R" and e.value.cell is cell
+    assert str(e.value) == f"relation 'R': {type(cell).__name__} cell {cell!r} is not int/str"
+    assert Relation("R", ("A", "B"), [(1, "x"), ("y", -2)]).rows == ((1, "x"), ("y", -2))
 
 def test_load_relation_crlf_and_order_preserving(tmp_path):
     p = tmp_path / "t.csv"
