@@ -851,36 +851,13 @@ def _unsettled_anchors(q, order):
     return sum(vt.anchor[i] not in vt.assigned[i] for i in range(len(order)))
 
 
-def test_head_tree_tables_match_the_row_loop_over_the_reduced_relations(monkeypatch):
-    """Candidate tables read off the head tree on demand equal the row-by-row
-    loop's over the reduced relations ``build_reduced_db`` reports: the same
-    groups in the same order, the same values, prefix sums, count and counted
-    comparisons. Each split mode runs often, and so do anchors not settled at
-    their level, whose bags are split to their distinct (ν, v) pairs."""
+def _assert_head_tree_tables_match_the_row_loop(cases):
+    """Over ``cases``, candidate tables read off the head tree on demand equal
+    the row-by-row loop's over the reduced relations ``build_reduced_db``
+    reports: the same groups in the same order, the same values, prefix sums,
+    count and counted comparisons. Returns how many unsettled anchors ran."""
     from cqrank import engine
-    from cqrank.analysis import build_variable_tree
 
-    real, calls = engine._split, Counter()
-
-    def spy(*args):
-        calls[args[-1]] += 1
-        return real(*args)
-
-    monkeypatch.setattr(engine, "_split", spy)
-    rng = random.Random(29)
-    cases = [random_acyclic_case(rng) for _ in range(300)]
-    # a partial order whose first variable's anchor is not settled there:
-    # R(A,B) has several rows per value of A
-    q = parse_query("Q(A,B) :- R(A,B), S(B,C).")
-    lex_a = parse_order("lex: A", q)
-    vt = build_variable_tree(q, analyze(q, lex_a).completed_order)
-    assert vt.nsets[0] == () and vt.anchor[0] not in vt.assigned[0]
-    cases += [(q, [lex_a], random_instance(q, rng, rng.randint(0, 40), 4)) for _ in range(20)]
-    rng = random.Random(37)
-    cases += [random_acyclic_case(rng) for _ in range(300)]
-    q = parse_query("Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D).")
-    for d in (3, 40):  # groups that repeat values, and groups that do not
-        cases.append((q, [parse_order("lex: A,B,C,D", q)], random_instance(q, rng, 60, d)))
     unsettled = 0
     for q, orders, db in cases:
         for o in orders:
@@ -891,7 +868,49 @@ def test_head_tree_tables_match_the_row_loop_over_the_reduced_relations(monkeypa
             assert _tables_outcome(engine._build_tables, q, engine._reduce(q, db)[1], order) == \
                 _tables_outcome(_row_loop_build_tables, q, build_reduced_db(q, db), order), (q, o, db)
             unsettled += _unsettled_anchors(q, order)
+    return unsettled
+
+
+def test_distinct_pair_tables_match_the_row_loop():
+    """Candidate tables built from each anchor's distinct (ν, v) pairs equal
+    the row-by-row loop's: the same groups, values, prefix sums, count and
+    counted comparisons. Anchors not settled at their level run often."""
+    from cqrank.analysis import build_variable_tree
+
+    rng = random.Random(29)
+    cases = [random_acyclic_case(rng) for _ in range(300)]
+    # a partial order whose first variable's anchor is not settled there:
+    # R(A,B) has several rows per value of A
+    q = parse_query("Q(A,B) :- R(A,B), S(B,C).")
+    lex_a = parse_order("lex: A", q)
+    vt = build_variable_tree(q, analyze(q, lex_a).completed_order)
+    assert vt.nsets[0] == () and vt.anchor[0] not in vt.assigned[0]
+    cases += [(q, [lex_a], random_instance(q, rng, rng.randint(0, 40), 4)) for _ in range(20)]
+    unsettled = _assert_head_tree_tables_match_the_row_loop(cases)
     assert unsettled >= 100, unsettled
+
+
+def test_bag_groups_match_the_counted_relations(monkeypatch):
+    """Candidate tables that split and count a head-tree leaf's bag per group
+    equal the ones built from the counted relations (what
+    ``build_reduced_db`` hands out): the same groups in the same order, the
+    same values, prefix sums, count and counted comparisons. Each split mode
+    runs often."""
+    from cqrank import engine
+
+    real, calls = engine._split, Counter()
+
+    def spy(*args):
+        calls[args[-1]] += 1
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_split", spy)
+    rng = random.Random(37)
+    cases = [random_acyclic_case(rng) for _ in range(300)]
+    q = parse_query("Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D).")
+    for d in (3, 40):  # groups that repeat values, and groups that do not
+        cases.append((q, [parse_order("lex: A,B,C,D", q)], random_instance(q, rng, 60, d)))
+    _assert_head_tree_tables_match_the_row_loop(cases)
     assert min(calls["count"], calls["row"], calls["one"]) >= 100, calls
 
 
