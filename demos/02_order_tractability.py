@@ -34,6 +34,15 @@ for k in range(4):
 print("lex B completes to:", cq.analyze(q, cq.parse_order("lex: B", q)).completed_order)
 print("lex A,C completes to:", cq.analyze(q, cq.parse_order("lex: A,C", q)).completed_order)
 
+# Saying that none exists takes polynomial time. On a 40-variable path,
+# whichever inner variable comes last closes a trio with its two neighbours,
+# so 'lex: V0,V39' has no completion, and the analyzer says so at once
+# instead of trying the extensions of the prefix one by one.
+path = cq.parse_query("Q(" + ",".join(f"V{i}" for i in range(40)) + ") :- "
+                      + ", ".join(f"E{i}(V{i},V{i + 1})" for i in range(39)) + ".")
+ends = cq.analyze(path, cq.parse_order("lex: V0,V39", path))
+print("lex V0,V39 on a 40-variable path:", ends.completed_order, ends.routing["DirectLex"].reasons)
+
 # Sum orders are routed when all weight variables live in one atom.
 print("sum B,C:", cq.analyze(q, cq.parse_order("sum: B,C", q)).routing["DirectSum"].ok)
 print("sum A,C:", cq.analyze(q, cq.parse_order("sum: A,C", q)).routing["DirectSum"].ok)

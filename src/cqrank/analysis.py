@@ -169,8 +169,11 @@ def find_disruptive_trio(q: Query, order, graph=None) -> tuple[str, str, str] | 
     of order[c]'s earlier head neighbours, at a < b, that share no atom. Only
     a variable whose earlier neighbours do not form a clique closes a trio,
     so only such a variable's neighbours are paired up. ``graph`` is
-    ``head_masks(q)``."""
+    ``head_masks(q)``. A repeated, unknown or existential variable raises
+    ``check_order``'s error."""
     order = tuple(order)
+    if order:
+        check_order(q, OrderSpec(LEX, order))
     bit, nbrs, _ = graph or head_masks(q)
     idx = [bit[v] for v in order]
     pos = {i: p for p, i in enumerate(idx)}
@@ -188,13 +191,18 @@ def find_disruptive_trio(q: Query, order, graph=None) -> tuple[str, str, str] | 
 def complete_order(q: Query, partial, graph=None) -> tuple[str, ...] | None:
     """Extend a partial lex list to a full trio-free order, or None.
 
-    A prefix with a disruptive trio has none. Otherwise an exhaustive
-    depth-first search appends, in head order, each unranked head variable
-    that closes no trio, so the first full order it reaches is deterministic.
-    The search is one loop over a stack that holds, per depth, the lowest
-    head position still to try there. A variable closes no trio iff its placed
-    neighbours are a clique; that is decided once per (variable, placed
-    neighbours) pair in a call. ``graph`` is ``head_masks(q)``.
+    A prefix with a disruptive trio has none. Nor has one whose unranked
+    variables cannot all be removed one at a time, each when its neighbours
+    not yet removed form a clique: the reverse of a completion is such a
+    removal order, and a removal never blocks another, so one pass over a
+    work list decides it in polynomial time. Otherwise a depth-first search,
+    exponential in the worst case, appends in head order each unranked head
+    variable that closes no trio, so the first full order it reaches is
+    deterministic. The search is one loop over a stack that holds, per depth,
+    the lowest head position still to try there. A variable closes no trio
+    iff its placed neighbours are a clique; that is decided once per
+    (variable, placed neighbours) pair in a call. A bad prefix variable raises
+    ``check_order``'s error. ``graph`` is ``head_masks(q)``.
     """
     prefix = tuple(partial)
     graph = graph or head_masks(q)
@@ -202,7 +210,15 @@ def complete_order(q: Query, partial, graph=None) -> tuple[str, ...] | None:
         return None
     bit, nbrs, _ = graph
     full = (1 << len(nbrs)) - 1
-    placed = sum(1 << i for i in {bit[v] for v in prefix})
+    placed = sum(1 << bit[v] for v in prefix)
+    left, work = full, list(_bits(full & ~placed))
+    while work:  # the removal pass; a removal re-queues only its unplaced neighbours
+        i = work.pop()
+        if left >> i & 1 and _is_clique(nbrs, nbrs[i] & left):
+            left ^= 1 << i
+            work.extend(_bits(nbrs[i] & left & ~placed))
+    if left != placed:
+        return None
     path, starts, fits = [], [0], [{} for _ in nbrs]
     while starts:
         if placed == full:
@@ -227,7 +243,7 @@ def complete_order(q: Query, partial, graph=None) -> tuple[str, ...] | None:
             starts.pop()
             if path:
                 placed ^= 1 << path.pop()
-    return None
+    raise AssertionError(f"the removal pass found a completion of {prefix} that the search missed")
 
 
 def effective_order(q: Query, o: OrderSpec) -> tuple[str, ...]:

@@ -16,6 +16,7 @@ from cqrank.analysis import (
     find_disruptive_trio,
     gyo_join_tree,
 )
+from cqrank.errors import DuplicateVariable, NonFreeVariable, UnknownVariable
 from cqrank.model import Atom, Query, parse_order, parse_query
 
 from conftest import head_adjacency
@@ -365,19 +366,47 @@ def _recursive_complete_order(q, partial):
     return extend(prefix, tuple(v for v in q.head if v not in prefix))
 
 
+def _random_hypergraph_query(rng):
+    """Atoms of 1 to 3 of up to 8 head variables, with no shape asked of
+    them, so the head graph is often not chordal and the query often cyclic."""
+    head = tuple(f"V{i}" for i in range(rng.randint(2, 8)))
+    atoms = [Atom(f"R{i}", tuple(rng.sample(head, rng.randint(1, min(3, len(head))))))
+             for i in range(rng.randint(1, len(head) + 2))]
+    missing = tuple(v for v in head if all(v not in a.vars for a in atoms))
+    return Query("Q", head, tuple(atoms) + ((Atom("Rx", missing),) if missing else ()))
+
+
 def test_complete_order_equals_the_recursive_backtracker():
     """The loop over neighbour masks visits the candidates in the recursion's
-    order, so both return the same first completion, or both None."""
+    order, so both return the same first completion, or both None; the removal
+    pass refuses exactly the prefixes the recursion exhausts."""
     rng = random.Random(79)
     completed = failed = 0
-    for _ in range(1200):
-        q = _random_query_with_existentials(rng)
+    for draw in range(2400):
+        q = (_random_query_with_existentials if draw < 1200 else _random_hypergraph_query)(rng)
         prefix = tuple(rng.sample(q.head, rng.randint(0, len(q.head))))
         want = _recursive_complete_order(q, prefix)
         assert complete_order(q, prefix) == want, (q, prefix)
         completed += want is not None
         failed += want is None
     assert completed > 300 and failed > 300
+
+
+_EDGE = parse_query("Q(A,B,C) :- R(A,B), S(B,C).")
+_HIDDEN_B = parse_query("Q(A) :- R(A,B), S(B,C).")
+
+
+@pytest.mark.parametrize("fn", [complete_order, find_disruptive_trio])
+@pytest.mark.parametrize("q, prefix, error, var", [
+    (_EDGE, ("A", "X"), UnknownVariable, "X"),
+    (_EDGE, ("A", "A"), DuplicateVariable, "A"),
+    (_HIDDEN_B, ("B",), NonFreeVariable, "B"),
+], ids=["unknown", "repeated", "existential"])
+def test_a_bad_prefix_variable_raises_check_orders_error(fn, q, prefix, error, var):
+    with pytest.raises(error) as exc:
+        fn(q, prefix)
+    assert exc.value.var == var
+    assert fn(q, ()) == (None if fn is find_disruptive_trio else q.head)  # an empty prefix is fine
 
 
 def _set_based_variable_tree(q, order) -> VariableTree:

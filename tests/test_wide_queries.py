@@ -2,14 +2,20 @@
 once per variable or atom, and the work stays fast where it is local."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import cqrank
 from cqrank import cli
 from cqrank.analysis import JoinTree, analyze, build_variable_tree, find_disruptive_trio, gyo_join_tree
 from cqrank.baseline import materialize_and_sort, sort_before_join_access, topk_heap_access
 from cqrank.engine import build_index, count_answers
+from cqrank.errors import NotRouted
 from cqrank.model import AnswerTuple, Atom, Instance, Query, Relation, format_query, parse_order
 from cqrank.selection import select
 
@@ -67,6 +73,44 @@ def _hub(leaves):
     rels = {"H": Relation("H", ("x",), ((0,), (1,)))}
     rels.update({f"L{i}": Relation(f"L{i}", ("x", "y"), ((0, 0), (1, 1))) for i in range(leaves)})
     return q, Instance(rels), "lex: X"
+
+
+def _star(leaves):
+    """``Q(C,L0,…) :- E0(C,L0), …``: the centre and every leaf in the head,
+    every edge ``{(0, 1), (1, 0), (2, 2)}``: three answers."""
+    head = ("C",) + tuple(f"L{i}" for i in range(leaves))
+    q = Query("Q", head, tuple(Atom(f"E{i}", ("C", f"L{i}")) for i in range(leaves)))
+    rows = ((0, 1), (1, 0), (2, 2))
+    return q, Instance({f"E{i}": Relation(f"E{i}", ("c", "l"), rows) for i in range(leaves)}), "lex: L0,L1"
+
+
+def _path_ends(m):
+    """``_path(m)`` under ``lex: V0,V(m-1)``."""
+    q, db, _ = _path(m)
+    return q, db, f"lex: V0,V{m - 1}"
+
+
+@pytest.mark.parametrize("shape", [_path_ends, _star], ids=["path-1100-ends", "star-1100-two-leaves"])
+def test_wide_order_with_no_completion_is_refused_fast(shape, tmp_path):
+    """Two ends of a path, or two leaves of a star, leave a variable between
+    them that closes a trio wherever it goes, so no completion exists. The
+    removal pass says so without trying an extension; the search alone never
+    returned at 1 100 variables. Selection still answers, and agrees with the
+    oracle at every rank."""
+    q, _, order_text = shape(1100)
+    (tmp_path / "q.cq").write_text(format_query(q), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(cqrank.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-m", "cqrank.cli", "analyze", "--query", str(tmp_path / "q.cq"),
+                          "--order", order_text], env=env, capture_output=True, text=True, timeout=30)
+    report = json.loads(out.stdout)
+    assert report["routing"]["DirectLex"] == {"ok": False, "reasons": ["no_trio_free_completion"]}
+    assert report["routing"]["SingleLex"]["ok"] and report["completed_order"] is None
+    q, db, order_text = shape(40)
+    o = parse_order(order_text, q)
+    oracle = materialize_and_sort(q, db, o)
+    assert [select(q, db, o, k, seed=1) for k in range(len(oracle))] == oracle
+    with pytest.raises(NotRouted):
+        build_index(q, db, o)
 
 
 def test_selection_on_a_1100_variable_path_recounts_only_what_a_fix_reaches():
