@@ -5,6 +5,7 @@ so a change that moves a counter (or makes one depend on hashing order) shows
 here before it shows in a benchmark trace. One ``Stats`` per entry point.
 """
 
+import hashlib
 import sys
 
 import pytest
@@ -14,7 +15,7 @@ from cqrank.bench import GenConfig, bench_query, generate_instance
 from cqrank.engine import build_index
 from cqrank.errors import OutOfRange
 from cqrank.instrument import Stats
-from cqrank.model import parse_order
+from cqrank.model import Instance, Relation, parse_order
 from cqrank.selection import select
 
 COUNT = 301_066
@@ -72,3 +73,34 @@ def test_out_of_range_names_k_and_the_answer_count(bench_db, text, k):
         with pytest.raises(OutOfRange) as info:
             call()
         assert (info.value.k, info.value.count) == (k, COUNT)
+
+
+def _index_digest(ix):
+    """A hash of everything ``build_index`` builds: each level's ν keys in
+    order with their values and prefix sums, then the count and the sum
+    order's anchor blocks."""
+    levels = [[(nu, g.values, g.cums) for nu, g in level.items()] for level in ix.groups]
+    return hashlib.sha256(repr((levels, ix.count, ix.anchor_vals, ix.cums)).encode()).hexdigest()
+
+
+def _as_strings(db):
+    """``db`` with every cell ``x`` written as the string ``v{x:06d}``."""
+    return Instance({name: Relation(name, rel.columns,
+                                    tuple(tuple(f"v{x:06d}" for x in r) for r in rel.rows))
+                     for name, rel in db.relations.items()})
+
+
+INDEX_DIGESTS = {
+    ("lex: A,B,C,D", "int"): "5d648d26fea25693bdbfb749c8fe0c6cacab1f1474844e3d19f98a8d4e1bcb94",
+    ("sum: A,B", "int"): "24cdea5a7bc18e2c9aecd6d72e45a509df86a9cd9ae8b540489f0b0406cebb0a",
+    ("lex: A,B,C,D", "str"): "693602220541de2c98e91decc0c1f0a05bddf2daae469df73bc62d059f8d582b",
+}
+
+
+@pytest.mark.parametrize("text,cells", list(INDEX_DIGESTS))
+def test_the_index_repeats_exactly(bench_db, text, cells):
+    """The index itself, not only what its accesses return: a rewrite of the
+    candidate tables must keep every group, value and prefix sum."""
+    db = bench_db if cells == "int" else _as_strings(bench_db)
+    q = bench_query()
+    assert _index_digest(build_index(q, db, parse_order(text, q))) == INDEX_DIGESTS[text, cells]
