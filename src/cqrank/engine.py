@@ -28,12 +28,14 @@ it feeds to the rows it can extend. Construction happens in three steps:
 3. *Candidate tables* — for a trio-free order w, each variable's preceding
    neighbors form a clique covered by some atom, so the candidates for w_i
    given an assignment of those neighbors are a slice of that anchor atom.
-   Bottom-up, one pass splits the anchor's rows per ν: a head-tree leaf's
-   bag, each group counted per value (so the leaf's message never runs), or
-   another atom's weighted relation; an anchor not settled at w_i splits its
-   bag to its distinct (ν, v) pairs at weight 1. Each group's values are
-   sorted alone, and g(ν, v) = (that weight) × (weights of the other atoms
-   settled at w_i) × (child subtree totals) is prefix-summed in that order.
+   Bottom-up, each level splits its anchor's rows per ν once: a settled
+   head-tree leaf's bag rows, each weighing 1 (so the leaf's message never
+   runs), another settled atom's weighted rows, or an unsettled anchor's
+   distinct (ν, v) pairs, each weighing 1. Each group's rows are sorted by
+   value, and a row's weight is multiplied by the weights of the other atoms
+   settled at w_i and by the child subtree totals, all keyed off the row. So
+   g(ν, v) sums v's rows, and v's prefix sum is the running sum at its last
+   row.
 
 Access walks w maintaining the residual rank k' and the multiplier M of the
 still-pending subtrees: the block of answers with w_i = v has width M·g(ν,v),
@@ -59,7 +61,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import accumulate, chain, compress, repeat
-from operator import itemgetter, mul, setitem
+from operator import itemgetter, mul
 
 from .analysis import (
     DIRECT_LEX,
@@ -303,17 +305,22 @@ class _Group:
         self.cums = cums
 
 
-def _sort_values(values, stats: Stats | None):
+def _sort_rows(rows: list, v_of, stats: Stats | None) -> None:
+    """Sort ``rows`` in place by their value ``v_of(row)``, in ``value_key`` order."""
     if stats is not None:
-        return sorted_counted(values, key=value_key, stats=stats)
+        rows[:] = sorted_counted(rows, key=lambda r: value_key(v_of(r)), stats=stats)
+        return
     try:
         # values of one kind compare natively exactly as value_key orders them
-        return sorted(values)
+        rows.sort(key=v_of)
     except TypeError:  # an int met a str
-        return sorted(values, key=value_key)
+        rows.sort(key=lambda r: value_key(v_of(r)))
 
 
 def _build_tables(q: Query, ht: CountingTree, order, stats: Stats | None):
+    """``(vt, groups, count)``: the variable tree of ``order``, each level's
+    ν -> ``_Group`` keyed by tuples, and the answer count, read off the head
+    tree ``ht`` bottom-up (stage 3 of the module docstring)."""
     vt = build_variable_tree(q, order)
     f, F = len(order), len(ht.tables)
     children = vt.children()
@@ -322,40 +329,35 @@ def _build_tables(q: Query, ht: CountingTree, order, stats: Stats | None):
 
     for i in reversed(range(f)):
         a, w, nset = vt.anchor[i], vt.order[i], vt.nsets[i]
-        # an anchor settled at w_i has head vars exactly ν ∪ {w_i}: a
-        # head-tree leaf's bag is counted per (ν, v), any other atom has one
-        # weighted row per pair. One not settled keeps its bag's distinct
-        # (ν, v) pairs: after full reduction no bag row weighs 0.
-        settled = a in vt.assigned[i]
-        if settled and ht.tree.adjacent[a] != [F]:
-            weights = _split(*_relation(ht, a), nset, w, "row")
-        else:
-            weights = _split(ht.vars[a], ht.tables[a], nset, w, "count" if settled else "one")
+        # the anchor's candidate rows: a bag's rows weigh 1 each, a dict maps
+        # each row to its weight. After full reduction no row weighs 0.
+        if a not in vt.assigned[i]:  # not settled at w_i: its distinct (w_i, ν) pairs
+            rvars = (w,) + nset
+            rows = _tupled(dict.fromkeys(map(_key(ht.vars[a], rvars), ht.tables[a]), 1), len(rvars))
+        elif ht.tree.adjacent[a] == [F]:  # a head-tree leaf: its bag, so its message never runs
+            rvars, rows = ht.vars[a], ht.tables[a]
+        else:  # one weighted row per (ν, v)
+            rvars, rows = _relation(ht, a)
+        v_of = itemgetter(rvars.index(w))
+        weigh = rows.__getitem__ if isinstance(rows, dict) else None
 
         # weights of the other atoms settled at w_i, then the child subtree
-        # totals; all their vars lie in ν ∪ {w_i}, so they key off the
-        # candidate's row (v, then ν). A child total keyed by w_i alone keys
-        # off the candidate's 1-tuple (v,) instead, with no ν to add per
-        # candidate. After full reduction every key is there.
-        pvars = (w,) + nset
-        alone = _key((w,), (w,))
-        direct = [totals[c] for c in children[i] if vt.nsets[c] == (w,)]
-        lookups = [(_proj(pvars, hv), rows)
-                   for hv, rows in (_relation(ht, ai) for ai in vt.assigned[i] if ai != a)]
-        lookups += [(_key(pvars, vt.nsets[c]), totals[c]) for c in children[i]
-                    if vt.nsets[c] != (w,)]
+        # totals; all their vars lie in ν ∪ {w_i}, so they key off the row.
+        # After full reduction every key is there.
+        lookups = [(_proj(rvars, hv), rel)
+                   for hv, rel in (_relation(ht, ai) for ai in vt.assigned[i] if ai != a)]
+        lookups += [(_key(rvars, vt.nsets[c]), totals[c]) for c in children[i]]
 
+        split: dict = defaultdict(list)
+        deque(map(list.append, map(split.__getitem__, map(_key(rvars, nset), rows)), rows), maxlen=0)
         gmap: dict = {}
-        for nu, gv in weights.items():
-            values = _sort_values(gv, stats)
-            gs = map(gv.__getitem__, values)
-            for m in direct:
-                gs = map(mul, gs, map(m.__getitem__, map(alone, zip(values))))
-            if lookups:  # values are never tuples; a ν key over one var is one
-                cands = list(map(tuple.__add__, zip(values), repeat(nu if type(nu) is tuple else (nu,))))
-                for key, m in lookups:
-                    gs = map(mul, gs, map(m.__getitem__, map(key, cands)))
-            gmap[nu] = _Group(values, list(accumulate(gs)))
+        for nu, grp in split.items():
+            _sort_rows(grp, v_of, stats)
+            gs = repeat(1, len(grp)) if weigh is None else map(weigh, grp)
+            for key, m in lookups:
+                gs = map(mul, gs, map(m.__getitem__, map(key, grp)))
+            cums = dict(zip(map(v_of, grp), accumulate(gs)))  # a value keeps its last sum
+            gmap[nu] = _Group(list(cums), list(cums.values()))
         groups[i] = _tupled(gmap, len(nset))
         totals[i] = {nu: grp.cums[-1] for nu, grp in gmap.items()}
 
@@ -365,24 +367,6 @@ def _build_tables(q: Query, ht: CountingTree, order, stats: Stats | None):
     for r in vt.roots():
         count *= totals[r].get((), 0)
     return vt, groups, count
-
-
-def _split(vars_, rows, nset, w, weigh: str) -> dict:
-    """ν -> {v: weight} over ``rows`` (over ``vars_``), both in
-    first-occurrence order, from one C-level pass that splits the rows per
-    ν. A candidate weighs its row's weight (``"row"``: one weighted row per
-    (ν, v)), its number of rows (``"count"``: a bag), or 1 (``"one"``)."""
-    nu_of, v_of = _key(vars_, nset), itemgetter(vars_.index(w))
-    if weigh == "row":
-        weights: dict = defaultdict(dict)
-        deque(map(setitem, map(weights.__getitem__, map(nu_of, rows)), map(v_of, rows),
-                  rows.values()), maxlen=0)
-        return weights
-    lists: dict = defaultdict(list)
-    deque(map(list.append, map(lists.__getitem__, map(nu_of, rows)), map(v_of, rows)), maxlen=0)
-    if weigh == "one":
-        return {nu: dict.fromkeys(vs, 1) for nu, vs in lists.items()}
-    return {nu: Counter(vs) for nu, vs in lists.items()}
 
 
 @dataclass

@@ -785,12 +785,23 @@ def test_bare_keys_match_the_tuple_key_reference_on_random_acyclic_queries(monke
 
 def _row_loop_build_tables(q, rdb, order, stats):
     """``engine._build_tables`` as it was before the distinct (ν, v) pairs:
-    one pass over every anchor row, skipping a (ν, v) pair already seen."""
+    one pass over every anchor row, skipping a (ν, v) pair already seen, and
+    each group's distinct values sorted alone."""
     from collections import defaultdict
     from itertools import accumulate
 
     from cqrank.analysis import build_variable_tree
-    from cqrank.engine import _Group, _key, _proj, _sort_values, _tupled
+    from cqrank.engine import _Group, _key, _proj, _tupled
+    from cqrank.instrument import sorted_counted
+    from cqrank.model import value_key
+
+    def sort_values(values):
+        if stats is not None:
+            return sorted_counted(values, key=value_key, stats=stats)
+        try:
+            return sorted(values)
+        except TypeError:  # an int met a str
+            return sorted(values, key=value_key)
 
     vt = build_variable_tree(q, order)
     f = len(order)
@@ -818,7 +829,7 @@ def _row_loop_build_tables(q, rdb, order, stats):
                 gv[v] = g
         gmap = {}
         for nu, gv in weights.items():
-            values = _sort_values(gv, stats)
+            values = sort_values(gv)
             if values:
                 gmap[nu] = _Group(values, list(accumulate(map(gv.__getitem__, values))))
         groups[i] = _tupled(gmap, len(vt.nsets[i]))
@@ -832,49 +843,55 @@ def _row_loop_build_tables(q, rdb, order, stats):
 
 
 def _tables_outcome(build, q, source, order):
-    """A build's groups with their values and prefix sums, its count, and the
-    comparisons a counted build of the same tables makes; ``source`` is what
-    ``build`` reads (a head tree, or a reduced database)."""
-    _, groups, count = build(q, source, order, None)
-    stats = Stats()
-    build(q, source, order, stats)
-    return ([[(nu, g.values, g.cums) for nu, g in gm.items()] for gm in groups],
-            count, stats.comparisons)
+    """A build's groups with their values and prefix sums, and its count;
+    ``source`` is what ``build`` reads (a head tree, or a reduced database).
+    A build that counts comparisons must build the same tables."""
+    def outcome(stats):
+        _, groups, count = build(q, source, order, stats)
+        return [[(nu, g.values, g.cums) for nu, g in gm.items()] for gm in groups], count
+
+    plain = outcome(None)
+    assert outcome(Stats()) == plain, (q, order)
+    return plain
 
 
-def _unsettled_anchors(q, order):
-    """How many variables of ``order`` take their candidates from an anchor
-    atom that has variables beyond ν ∪ {w_i}."""
+def _anchor_kinds(q, ht, order):
+    """How many variables of ``order`` take their candidates from a settled
+    head-tree leaf (``"leaf"``), from another settled anchor (``"settled"``),
+    and from an anchor with variables beyond ν ∪ {w_i} (``"unsettled"``)."""
     from cqrank.analysis import build_variable_tree
 
-    vt = build_variable_tree(q, order)
-    return sum(vt.anchor[i] not in vt.assigned[i] for i in range(len(order)))
+    vt, F = build_variable_tree(q, order), len(ht.tables)
+    return Counter("unsettled" if a not in vt.assigned[i] else
+                   "leaf" if ht.tree.adjacent[a] == [F] else "settled"
+                   for i, a in enumerate(vt.anchor))
 
 
 def _assert_head_tree_tables_match_the_row_loop(cases):
     """Over ``cases``, candidate tables read off the head tree on demand equal
     the row-by-row loop's over the reduced relations ``build_reduced_db``
-    reports: the same groups in the same order, the same values, prefix sums,
-    count and counted comparisons. Returns how many unsettled anchors ran."""
+    reports: the same groups in the same order, the same values, prefix sums
+    and count. Returns how often each kind of anchor ran."""
     from cqrank import engine
 
-    unsettled = 0
+    kinds = Counter()
     for q, orders, db in cases:
         for o in orders:
             report = analyze(q, o)
             if not report.routing[DIRECT_LEX if o.kind == "lex" else DIRECT_SUM].ok:
                 continue
             order = report.completed_order
-            assert _tables_outcome(engine._build_tables, q, engine._reduce(q, db)[1], order) == \
+            ht = engine._reduce(q, db)[1]
+            assert _tables_outcome(engine._build_tables, q, ht, order) == \
                 _tables_outcome(_row_loop_build_tables, q, build_reduced_db(q, db), order), (q, o, db)
-            unsettled += _unsettled_anchors(q, order)
-    return unsettled
+            kinds += _anchor_kinds(q, ht, order)
+    return kinds
 
 
 def test_distinct_pair_tables_match_the_row_loop():
     """Candidate tables built from each anchor's distinct (ν, v) pairs equal
-    the row-by-row loop's: the same groups, values, prefix sums, count and
-    counted comparisons. Anchors not settled at their level run often."""
+    the row-by-row loop's: the same groups, values, prefix sums and count.
+    Anchors not settled at their level run often."""
     from cqrank.analysis import build_variable_tree
 
     rng = random.Random(29)
@@ -886,32 +903,22 @@ def test_distinct_pair_tables_match_the_row_loop():
     vt = build_variable_tree(q, analyze(q, lex_a).completed_order)
     assert vt.nsets[0] == () and vt.anchor[0] not in vt.assigned[0]
     cases += [(q, [lex_a], random_instance(q, rng, rng.randint(0, 40), 4)) for _ in range(20)]
-    unsettled = _assert_head_tree_tables_match_the_row_loop(cases)
-    assert unsettled >= 100, unsettled
+    kinds = _assert_head_tree_tables_match_the_row_loop(cases)
+    assert kinds["unsettled"] >= 100, kinds
 
 
-def test_bag_groups_match_the_counted_relations(monkeypatch):
-    """Candidate tables that split and count a head-tree leaf's bag per group
-    equal the ones built from the counted relations (what
+def test_bag_groups_match_the_counted_relations():
+    """Candidate tables that split a head-tree leaf's bag per group, each row
+    weighing 1, equal the ones built from the counted relations (what
     ``build_reduced_db`` hands out): the same groups in the same order, the
-    same values, prefix sums, count and counted comparisons. Each split mode
-    runs often."""
-    from cqrank import engine
-
-    real, calls = engine._split, Counter()
-
-    def spy(*args):
-        calls[args[-1]] += 1
-        return real(*args)
-
-    monkeypatch.setattr(engine, "_split", spy)
+    same values, prefix sums and count. Each kind of anchor runs often."""
     rng = random.Random(37)
     cases = [random_acyclic_case(rng) for _ in range(300)]
     q = parse_query("Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D).")
     for d in (3, 40):  # groups that repeat values, and groups that do not
         cases.append((q, [parse_order("lex: A,B,C,D", q)], random_instance(q, rng, 60, d)))
-    _assert_head_tree_tables_match_the_row_loop(cases)
-    assert min(calls["count"], calls["row"], calls["one"]) >= 100, calls
+    kinds = _assert_head_tree_tables_match_the_row_loop(cases)
+    assert min(kinds["leaf"], kinds["settled"], kinds["unsettled"]) >= 100, kinds
 
 
 def test_a_bench_build_sends_no_message_to_the_head_node(monkeypatch):
