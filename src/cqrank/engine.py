@@ -35,14 +35,16 @@ it feeds to the rows it can extend. Construction happens in three steps:
    value, and a row's weight is multiplied by the weights of the other atoms
    settled at w_i and by the child subtree totals, all keyed off the row. So
    g(ν, v) sums v's rows, and v's prefix sum is the running sum at its last
-   row.
+   row. A level is one table: its groups' values and prefix sums back to
+   back, and ν -> the group's span in it.
 
 Access walks w maintaining the residual rank k' and the multiplier M of the
 still-pending subtrees: the block of answers with w_i = v has width M·g(ν,v),
-so one counting binary search per variable pins the value. A single-atom sum
-order is blocks on the same index: the sum anchor's assignments, sorted by
-``sum_blocks``' rank key (weight sum, values), form one first level, and the
-descent completes each. ``build_index`` builds both kinds; it opens, as
+so one counting binary search per variable, inside ν's span, pins the value.
+A single-atom sum order is blocks on the same index: the sum anchor's
+assignments, sorted by ``sum_blocks``' rank key (weight sum, values), form
+one first level of one span, which pins the anchor's variables at once, and
+the descent completes each. ``build_index`` builds both kinds; it opens, as
 ``selection.select`` does, with ``_routed``, which picks the mode by the
 order's kind and checks it.
 
@@ -295,16 +297,6 @@ def sum_blocks(q: Query, ct: CountingTree, report: TractabilityReport):
     return prefix, blocks.items(), lambda p: (sum(p[i] for i in wpos), tuple_key(p))
 
 
-class _Group:
-    """Sorted candidate values for one (variable, neighbor-assignment) pair."""
-
-    __slots__ = ("values", "cums")
-
-    def __init__(self, values: list, cums: list[int]):
-        self.values = values
-        self.cums = cums
-
-
 def _sort_rows(rows: list, v_of, stats: Stats | None) -> None:
     """Sort ``rows`` in place by their value ``v_of(row)``, in ``value_key`` order."""
     if stats is not None:
@@ -318,13 +310,14 @@ def _sort_rows(rows: list, v_of, stats: Stats | None) -> None:
 
 
 def _build_tables(q: Query, ht: CountingTree, order, stats: Stats | None):
-    """``(vt, groups, count)``: the variable tree of ``order``, each level's
-    ν -> ``_Group`` keyed by tuples, and the answer count, read off the head
-    tree ``ht`` bottom-up (stage 3 of the module docstring)."""
+    """``(vt, groups, tables, count)`` of ``AccessIndex``: the variable tree
+    of ``order``, each level's spans and table, and the answer count, read
+    off the head tree ``ht`` bottom-up (stage 3 of the module docstring)."""
     vt = build_variable_tree(q, order)
     f, F = len(order), len(ht.tables)
     children = vt.children()
-    groups: list[dict[tuple, _Group]] = [None] * f
+    groups: list[dict[tuple, tuple[int, int]]] = [None] * f
+    tables: list[tuple[list, list[int]]] = [None] * f
     totals: list[dict] = [None] * f  # keyed by _key over ν
 
     for i in reversed(range(f)):
@@ -350,29 +343,34 @@ def _build_tables(q: Query, ht: CountingTree, order, stats: Stats | None):
 
         split: dict = defaultdict(list)
         deque(map(list.append, map(split.__getitem__, map(_key(rvars, nset), rows)), rows), maxlen=0)
-        gmap: dict = {}
+        spans, values, cums = {}, [], []
         for nu, grp in split.items():
             _sort_rows(grp, v_of, stats)
             gs = repeat(1, len(grp)) if weigh is None else map(weigh, grp)
             for key, m in lookups:
                 gs = map(mul, gs, map(m.__getitem__, map(key, grp)))
-            cums = dict(zip(map(v_of, grp), accumulate(gs)))  # a value keeps its last sum
-            gmap[nu] = _Group(list(cums), list(cums.values()))
-        groups[i] = _tupled(gmap, len(nset))
-        totals[i] = {nu: grp.cums[-1] for nu, grp in gmap.items()}
+            sums = dict(zip(map(v_of, grp), accumulate(gs)))  # a value keeps its last sum
+            spans[nu] = (len(values), len(values) + len(sums))
+            values += sums
+            cums += sums.values()
+        groups[i], tables[i] = _tupled(spans, len(nset)), (values, cums)
+        totals[i] = {nu: cums[hi - 1] for nu, (_, hi) in spans.items()}
 
     count = 1
     for ai in vt.scalar_atoms:
         count *= _relation(ht, ai)[1].get((), 0)
     for r in vt.roots():
         count *= totals[r].get((), 0)
-    return vt, groups, count
+    return vt, groups, tables, count
 
 
 @dataclass
 class AccessIndex:
-    """The sorted answer array of a routed lex or single-atom sum order. A sum
-    order's blocks are one more first level: the anchor assignments
+    """The sorted answer array of a routed lex or single-atom sum order. Level
+    i is one ``(values, cums)`` table, ``tables[i]``, of its groups back to
+    back: ``groups[i]`` maps ν to its group's span ``(lo, hi)``, whose values
+    ascend and whose ``cums`` run from the group's first value. A sum order's
+    blocks are one more first level, one span: the anchor assignments
     ``anchor_vals`` in (weight sum, values) order, with running answer counts
     ``cums`` (both empty for a lex order). Immutable after construction;
     ``access``/``count`` are safe for concurrent callers (per-call stats)."""
@@ -380,43 +378,42 @@ class AccessIndex:
     query: Query
     order: tuple[str, ...]
     vtree: VariableTree
-    groups: list[dict[tuple, _Group]]
+    groups: list[dict[tuple, tuple[int, int]]]
+    tables: list[tuple[list, list[int]]]
     count: int
     build_stats: Stats | None  # set on builds that count comparisons
     anchor_vals: list[tuple] = field(default_factory=list)
     cums: list[int] = field(default_factory=list)
-    _npos: list[tuple[int, ...]] = field(init=False)
+    _levels: list[tuple] = field(init=False)
     _head_pick: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
+        # one (slot, ν positions, spans, values, cums) per level; the sum
+        # blocks' slot is the slice of the anchor's variables
         pos = {v: i for i, v in enumerate(self.order)}
-        self._npos = [tuple(pos[v] for v in ns) for ns in self.vtree.nsets]
+        width = len(self.anchor_vals[0]) if self.cums else 0
+        blocks = [(slice(0, width), (), {(): (0, len(self.cums))}, self.anchor_vals, self.cums)]
+        self._levels = (blocks if self.cums else []) + [
+            (i, tuple(pos[v] for v in self.vtree.nsets[i]), self.groups[i], *self.tables[i])
+            for i in range(width, len(self.order))]
         self._head_pick = tuple(pos[v] for v in self.query.head)
 
     @property
     def max_group_size(self) -> int:
-        return max(
-            (len(g.values) for gm in self.groups for g in gm.values()), default=0
-        )
+        return max((hi - lo for spans in self.groups for lo, hi in spans.values()), default=0)
 
     def access(self, k: int, stats: Stats | None = None) -> AnswerTuple:
         check_rank(k)
         if k < 0 or k >= self.count:
             raise OutOfRange(k, self.count)
-        vals, C, start = [None] * len(self.order), self.count, 0
-        if self.cums:  # pin the sum order's block first
-            j = bisect_gt(self.cums, k, stats)
-            before = self.cums[j - 1] if j else 0
-            start = len(self.anchor_vals[j])
-            vals[:start] = self.anchor_vals[j]
-            C, k = self.cums[j] - before, k - before
-        for i in range(start, len(self.order)):
-            grp = self.groups[i][tuple(vals[j] for j in self._npos[i])]
-            M = C // grp.cums[-1]
-            idx = bisect_gt(grp.cums, k // M, stats)
-            before = grp.cums[idx - 1] if idx else 0
-            k, C = k - M * before, M * (grp.cums[idx] - before)
-            vals[i] = grp.values[idx]
+        vals, C = [None] * len(self.order), self.count
+        for slot, npos, spans, values, cums in self._levels:
+            lo, hi = spans[tuple(vals[j] for j in npos)]
+            M = C // cums[hi - 1]
+            idx = bisect_gt(cums, k // M, stats, lo, hi)
+            before = cums[idx - 1] if idx > lo else 0
+            k, C = k - M * before, M * (cums[idx] - before)
+            vals[slot] = values[idx]
         return AnswerTuple(self.query.head, tuple(vals[j] for j in self._head_pick))
 
 
@@ -451,14 +448,14 @@ def build_index(q: Query, db: Instance, o, *, report: TractabilityReport | None 
     del ct  # free its count messages before the candidate tables are built
     stats = Stats() if count_comparisons else None
     order = report.completed_order
-    vt, groups, count = _build_tables(q, ht, order, stats)
+    vt, groups, tables, count = _build_tables(q, ht, order, stats)
     blocks = sorted_counted(blocks, key=lambda b: rank(b[0]), stats=stats)
     cums = list(accumulate(map(itemgetter(1), blocks)))
     if order[:len(prefix)] != prefix:
         raise AssertionError("sum order must start with the anchor atom's head variables")
     if mode == DIRECT_SUM and (cums[-1] if cums else 0) != count:
         raise AssertionError("anchor extension counts must add up to the answer count")
-    return AccessIndex(q, order, vt, groups, count, stats, list(map(itemgetter(0), blocks)), cums)
+    return AccessIndex(q, order, vt, groups, tables, count, stats, list(map(itemgetter(0), blocks)), cums)
 
 
 def preprocess_lex(q: Query, db: Instance, report: TractabilityReport, *,

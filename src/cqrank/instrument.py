@@ -41,9 +41,10 @@ def sorted_counted(items, key, stats=None):
     return sorted(items, key=key)
 
 
-def bisect_gt(arr, x, stats=None):
-    """First index i with arr[i] > x (arr ascending), counting probes."""
-    lo, hi = 0, len(arr)
+def bisect_gt(arr, x, stats=None, lo=0, hi=None):
+    """First index i in [lo, hi) with arr[i] > x, else hi (arr[lo:hi] ascending,
+    hi defaulting to len(arr)), counting probes as ``bisect_gt(arr[lo:hi], x)`` does."""
+    hi = len(arr) if hi is None else hi
     while lo < hi:
         if stats is not None:
             stats.probes += 1

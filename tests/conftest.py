@@ -53,6 +53,14 @@ def order(text, q):
     return parse_order(text, q)
 
 
+def level_groups(groups, tables) -> list[dict[tuple, tuple[list, list]]]:
+    """Each level's groups as ν -> ``(values, cums)``, sliced out of the
+    level's table by the group's span: ``level_groups(ix.groups, ix.tables)``
+    for a built index, or the spans and tables ``_build_tables`` returns."""
+    return [{nu: (values[lo:hi], cums[lo:hi]) for nu, (lo, hi) in spans.items()}
+            for spans, (values, cums) in zip(groups, tables)]
+
+
 def perfbench_spec():
     """``perfbench/spec.py``, loaded by path: the benchmark's workloads,
     among them the analyze-wide batch of (label, query text, order text)."""

@@ -19,7 +19,7 @@ from cqrank.instrument import Stats
 from cqrank.model import Atom, Instance, OrderSpec, Query, Relation, parse_order, parse_query
 from cqrank.selection import select
 
-from conftest import domain_for, random_acyclic_case, random_instance
+from conftest import domain_for, level_groups, random_acyclic_case, random_instance
 
 
 def test_materialize_two_path(q2path, db1):
@@ -238,9 +238,10 @@ def _probe_bound(index, answer):
     each group that the answer's own values select."""
     vals = answer.as_dict()
     width = len(index.anchor_vals[0]) if index.cums else 0
-    groups = (index.groups[i][tuple(vals[v] for v in index.vtree.nsets[i])]
+    levels = level_groups(index.groups, index.tables)
+    groups = (levels[i][tuple(vals[v] for v in index.vtree.nsets[i])]
               for i in range(width, len(index.order)))
-    return len(index.cums).bit_length() + sum(len(g.cums).bit_length() for g in groups)
+    return len(index.cums).bit_length() + sum(len(cums).bit_length() for _, cums in groups)
 
 
 def test_every_answer_channel_matches_the_oracle_on_random_draws():

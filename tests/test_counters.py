@@ -18,6 +18,8 @@ from cqrank.instrument import Stats
 from cqrank.model import Instance, Relation, parse_order
 from cqrank.selection import select
 
+from conftest import level_groups
+
 COUNT = 301_066
 
 
@@ -36,7 +38,7 @@ COMPARISONS_ON_3_13 = {"lex: A,B,C,D": 24_572, "sum: A,B": 54_693}
 @pytest.mark.parametrize("text,comparisons_to_3_12,probes,rows_touched", [
     ("lex: A,B,C,D", 23_340, 77, 72_256),
     ("sum: A,B", 53_371, 76, 72_218),
-])
+], ids=["lex: A,B,C,D", "sum: A,B"])  # a re-pin keeps the ids
 def test_counters_repeat_exactly(bench_db, text, comparisons_to_3_12, probes, rows_touched):
     comparisons = COMPARISONS_ON_3_13[text] if sys.version_info >= (3, 13) else comparisons_to_3_12
     q = bench_query()
@@ -79,7 +81,7 @@ def _index_digest(ix):
     """A hash of everything ``build_index`` builds: each level's ν keys in
     order with their values and prefix sums, then the count and the sum
     order's anchor blocks."""
-    levels = [[(nu, g.values, g.cums) for nu, g in level.items()] for level in ix.groups]
+    levels = [[(nu, *g) for nu, g in level.items()] for level in level_groups(ix.groups, ix.tables)]
     return hashlib.sha256(repr((levels, ix.count, ix.anchor_vals, ix.cums)).encode()).hexdigest()
 
 

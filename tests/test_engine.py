@@ -18,7 +18,7 @@ from cqrank.instrument import Stats
 from cqrank.model import Instance, Relation, parse_order, parse_query
 from cqrank.selection import select
 
-from conftest import domain_for, random_acyclic_case, random_instance
+from conftest import domain_for, level_groups, random_acyclic_case, random_instance
 
 
 def _lex_index(q, db, text):
@@ -264,7 +264,8 @@ def test_mixed_int_str_groups_match_oracle(q2path, order_text):
         for counted in (False, True):
             ix = build_index(q2path, db, o, report=report, count_comparisons=counted)
             assert [ix.access(k) for k in range(ix.count)] == oracle, (seed, counted)
-        mixed += any(len(set(map(type, g.values))) > 1 for gm in ix.groups for g in gm.values())
+        mixed += any(len(set(map(type, values))) > 1
+                     for gm in level_groups(ix.groups, ix.tables) for values, _ in gm.values())
     assert mixed  # some group held an int and a str, so the value_key fallback ran
 
 
@@ -276,10 +277,11 @@ def test_counted_build_matches_plain(q3path, order_text):
     plain = build_index(q3path, db, o, report=report)
     counted = build_index(q3path, db, o, report=report, count_comparisons=True)
     assert counted.build_stats.comparisons > 0
-    assert [gm.keys() for gm in plain.groups] == [gm.keys() for gm in counted.groups]
-    for pg, cg in zip(plain.groups, counted.groups):
+    plain_groups, counted_groups = (level_groups(ix.groups, ix.tables) for ix in (plain, counted))
+    assert [gm.keys() for gm in plain_groups] == [gm.keys() for gm in counted_groups]
+    for pg, cg in zip(plain_groups, counted_groups):
         for nu, grp in pg.items():
-            assert (grp.values, grp.cums) == (cg[nu].values, cg[nu].cums), nu
+            assert grp == cg[nu], nu
 
 
 def test_sum_single_atom_example():
@@ -360,10 +362,10 @@ def test_preprocess_sum_binds_and_counts_once(q3path, monkeypatch):
 
 def test_group_prefix_sums_strictly_increase(q2path, db1):
     ix, _ = _lex_index(q2path, db1, "lex: A,B,C")
-    for gm in ix.groups:
-        for grp in gm.values():
-            assert all(b > a for a, b in zip(grp.cums, grp.cums[1:]))
-            assert grp.cums[0] > 0
+    for gm in level_groups(ix.groups, ix.tables):
+        for _, cums in gm.values():
+            assert all(b > a for a, b in zip(cums, cums[1:]))
+            assert cums[0] > 0
 
 
 def test_probe_bound(q3path):
@@ -377,6 +379,49 @@ def test_probe_bound(q3path):
         st = Stats()
         ix.access(k, st)
         assert st.probes <= bound
+
+
+def test_bisect_gt_in_bounds_matches_the_slice():
+    """Over ``[lo, hi)``, ``bisect_gt`` returns ``lo`` plus its answer on the
+    slice, with the same probe count: on empty ranges, and for an ``x`` below,
+    inside and above the range."""
+    from cqrank.instrument import bisect_gt
+
+    rng = random.Random(53)
+    seen = Counter()
+    for _ in range(2000):
+        arr = sorted(rng.choices(range(20), k=rng.randint(0, 12)))
+        lo = rng.randint(0, len(arr))
+        hi = rng.randint(lo, len(arr))
+        x = rng.randint(-2, 21)
+        bounded, sliced = Stats(), Stats()
+        assert bisect_gt(arr, x, bounded, lo, hi) == lo + bisect_gt(arr[lo:hi], x, sliced), \
+            (arr, x, lo, hi)
+        assert bounded.probes == sliced.probes, (arr, x, lo, hi)
+        seen["empty" if lo == hi else "below" if x < arr[lo] else "above" if x >= arr[hi - 1]
+             else "inside"] += 1
+    assert min(seen[c] for c in ("empty", "below", "inside", "above")) >= 100, seen
+
+
+@pytest.mark.parametrize("text", ["lex: A,B,C,D", "lex: D,C,B,A", "sum: A,B"])
+def test_a_built_index_holds_a_fixed_number_of_tracked_containers(text):
+    """Each level is one table and one span map, so an index adds a few
+    objects to the collector's lists however many groups it holds (thousands
+    here)."""
+    import gc
+
+    from cqrank.bench import GenConfig, bench_query, generate_instance
+
+    q = bench_query()
+    db = generate_instance(GenConfig(3000, "small", 7))
+    o = parse_order(text, q)
+    build_index(q, db, o)  # warm-up: whatever a first build leaves behind
+    gc.collect()
+    before = len(gc.get_objects())
+    ix = build_index(q, db, o)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert added < 100, (added, sum(map(len, ix.groups)))
 
 
 def test_concurrent_access_consistency(q2path, db1):
@@ -498,8 +543,7 @@ def test_the_kept_aliases_are_the_two_entries(q2path, db1):
         report = analyze(q2path, parse_order(text, q2path))
         kept, entry = preprocess_lex(q2path, db1, report), build_index(q2path, db1, report.order)
         assert kept.count == entry.count == 4
-        assert [{nu: (g.values, g.cums) for nu, g in gm.items()} for gm in kept.groups] == \
-            [{nu: (g.values, g.cums) for nu, g in gm.items()} for gm in entry.groups]
+        assert level_groups(kept.groups, kept.tables) == level_groups(entry.groups, entry.tables)
 
 
 _OPTIMIZED_CHECKS = '''
@@ -616,7 +660,7 @@ def _kernel_outputs(q, db, orders):
             prefix, blocks, rank = sum_blocks(q, atom_tree(q, bound_atoms(q, db), DIRECT_SUM), report)
             out[o, "sum"] = ((prefix, [(rank(p), p, w) for p, w in blocks]), ix.anchor_vals, ix.cums)
         out[o] = (ix.count, ix.vtree.nsets,
-                  [[(nu, g.values, g.cums) for nu, g in gm.items()] for gm in ix.groups])
+                  [[(nu, *g) for nu, g in gm.items()] for gm in level_groups(ix.groups, ix.tables)])
     return out
 
 
@@ -791,7 +835,7 @@ def _row_loop_build_tables(q, rdb, order, stats):
     from itertools import accumulate
 
     from cqrank.analysis import build_variable_tree
-    from cqrank.engine import _Group, _key, _proj, _tupled
+    from cqrank.engine import _key, _proj, _tupled
     from cqrank.instrument import sorted_counted
     from cqrank.model import value_key
 
@@ -806,7 +850,7 @@ def _row_loop_build_tables(q, rdb, order, stats):
     vt = build_variable_tree(q, order)
     f = len(order)
     children = vt.children()
-    groups, totals = [None] * f, [None] * f
+    groups, tables, totals = [None] * f, [None] * f, [None] * f
     for i in reversed(range(f)):
         anchor = rdb.atoms[vt.anchor[i]]
         nu_of = _key(anchor.vars, vt.nsets[i])
@@ -827,19 +871,21 @@ def _row_loop_build_tables(q, rdb, order, stats):
                     break
             if g:
                 gv[v] = g
-        gmap = {}
+        spans, values, cums = {}, [], []
         for nu, gv in weights.items():
-            values = sort_values(gv)
-            if values:
-                gmap[nu] = _Group(values, list(accumulate(map(gv.__getitem__, values))))
-        groups[i] = _tupled(gmap, len(vt.nsets[i]))
-        totals[i] = {nu: grp.cums[-1] for nu, grp in gmap.items()}
+            sorted_values = sort_values(gv)
+            if sorted_values:
+                spans[nu] = (len(values), len(values) + len(sorted_values))
+                values += sorted_values
+                cums += accumulate(map(gv.__getitem__, sorted_values))
+        groups[i], tables[i] = _tupled(spans, len(vt.nsets[i])), (values, cums)
+        totals[i] = {nu: cums[hi - 1] for nu, (_, hi) in spans.items()}
     count = 1
     for ai in vt.scalar_atoms:
         count *= rdb.atoms[ai].rows.get((), 0)
     for r in vt.roots():
         count *= totals[r].get((), 0)
-    return vt, groups, count
+    return vt, groups, tables, count
 
 
 def _tables_outcome(build, q, source, order):
@@ -847,8 +893,8 @@ def _tables_outcome(build, q, source, order):
     ``source`` is what ``build`` reads (a head tree, or a reduced database).
     A build that counts comparisons must build the same tables."""
     def outcome(stats):
-        _, groups, count = build(q, source, order, stats)
-        return [[(nu, g.values, g.cums) for nu, g in gm.items()] for gm in groups], count
+        _, groups, tables, count = build(q, source, order, stats)
+        return [[(nu, *g) for nu, g in gm.items()] for gm in level_groups(groups, tables)], count
 
     plain = outcome(None)
     assert outcome(Stats()) == plain, (q, order)
